@@ -4,13 +4,13 @@ The paper positions the gossip processes as the O(log n)-bits-per-message
 alternative to prior discovery algorithms that finish in polylog rounds but
 ship Θ(n)-size messages.  This benchmark regenerates that trade-off table:
 for each algorithm, the convergence rounds, the total bits, and the peak
-per-node per-round bit budget — on both graph backends, now that the
-baselines run on the packed bitset substrate (PR 3).
+per-node per-round bit budget.
 
-``test_e10_backend_shootout`` times one baseline round per backend at the
-largest n on an identical mid-density state: the packed flooding round
-(one pass of row unions) must beat the list-backend triple loop by ≥5×
-at n=1024.  Full-size results are written to ``BENCH_PR3.json`` at the
+``test_e10_backend_shootout`` times one baseline round on the list-based
+``DynamicGraph`` oracle (the per-node reference loop) and on the array
+graph at the largest n, from an identical mid-density state: the packed
+flooding round (one pass of row unions) must beat the reference triple
+loop by ≥5× at n=1024.  Full-size results are written to ``BENCH_PR3.json`` at the
 repo root (skipped under ``--smoke`` so CI never overwrites the recorded
 snapshot).
 """
@@ -28,6 +28,7 @@ from repro.baselines.flooding import NeighborhoodFlooding
 from repro.baselines.name_dropper import NameDropper
 from repro.baselines.pointer_jump import RandomPointerJump
 from repro.graphs import generators as gen
+from repro.graphs.adjacency import DynamicGraph
 from repro.graphs.array_adjacency import ArrayGraph
 from repro.network.message import id_bits_for
 from repro.network.simulator import NetworkSimulator
@@ -48,8 +49,7 @@ SHOOTOUT_PROCESSES = [
 ]
 
 
-@pytest.mark.parametrize("backend", ["list", "array"])
-def test_e10_rounds_vs_bits_tradeoff(benchmark, smoke, backend):
+def test_e10_rounds_vs_bits_tradeoff(benchmark, smoke):
     """Rounds and message-bit totals for every algorithm on the same starting graph."""
 
     n = 16 if smoke else N
@@ -61,7 +61,7 @@ def test_e10_rounds_vs_bits_tradeoff(benchmark, smoke, backend):
             for t in range(trial_count(smoke, 3)):
                 graph = gen.cycle_graph(n)
                 result = measure_convergence_rounds(
-                    name, graph, rng=BENCH_SEED + t, copy_graph=False, backend=backend
+                    name, graph, rng=BENCH_SEED + t, copy_graph=False
                 )
                 trials.append((result.rounds, result.total_bits, result.total_messages))
             rounds = float(np.mean([t[0] for t in trials]))
@@ -79,7 +79,7 @@ def test_e10_rounds_vs_bits_tradeoff(benchmark, smoke, backend):
         return rows
 
     rows = run_once(benchmark, measure)
-    print_table(f"E10 rounds vs bandwidth on a {n}-cycle (backend={backend})", rows)
+    print_table(f"E10 rounds vs bandwidth on a {n}-cycle", rows)
     by_name = {row["algorithm"]: row for row in rows}
     # Round ordering: flooding <= name_dropper << push/pull.
     assert by_name["flooding"]["rounds"] <= by_name["name_dropper"]["rounds"]
@@ -130,19 +130,19 @@ def test_e10_message_level_bandwidth(benchmark, smoke):
 
 
 def _mid_density_states(n: int, warm_rounds: int):
-    """A cycle flooded for ``warm_rounds`` rounds, as an aligned backend pair.
+    """A cycle flooded for ``warm_rounds`` rounds, as an aligned oracle/array pair.
 
     Flooding roughly doubles the knowledge radius per round, so after r
-    rounds every node knows ~2^(r+1) others — dense enough that the list
-    backend's O(Σ deg²) Python triple loop hurts, while many rounds still
-    remain to convergence.  The list state is rebuilt canonically and the
-    array state derived from it, so both backends start with identical
+    rounds every node knows ~2^(r+1) others — dense enough that the
+    reference loop's O(Σ deg²) Python triple loop hurts, while many rounds
+    still remain to convergence.  The oracle state is rebuilt canonically
+    and the array state derived from it, so both start with identical
     neighbour-row order (identical seeded draws).
     """
     proc = NeighborhoodFlooding(ArrayGraph(n, gen.cycle_graph(n).edge_list()), rng=BENCH_SEED)
     for _ in range(warm_rounds):
         proc.step()
-    state_list = proc.graph.to_dynamic()
+    state_list = DynamicGraph(n, proc.graph.edge_list())
     return {"list": state_list, "array": ArrayGraph.from_graph(state_list)}
 
 
@@ -164,7 +164,7 @@ def _time_one_round(process_cls, state, reps: int) -> dict:
 
 
 def test_e10_backend_shootout(benchmark, smoke):
-    """List-vs-array single-round shoot-out for all three baselines at the largest n."""
+    """Oracle-vs-array single-round shoot-out for all three baselines at the largest n."""
 
     n = 256 if smoke else 1024
     warm_rounds = 3 if smoke else 4
@@ -176,7 +176,7 @@ def test_e10_backend_shootout(benchmark, smoke):
         for name, process_cls in SHOOTOUT_PROCESSES:
             list_run = _time_one_round(process_cls, states["list"], reps)
             array_run = _time_one_round(process_cls, states["array"], reps)
-            # Same seed, same state: the round must agree across backends.
+            # Same seed, same state: the round must agree on both graphs.
             assert array_run["messages"] == list_run["messages"]
             assert array_run["bits"] == list_run["bits"]
             assert array_run["added"] == list_run["added"]
@@ -194,7 +194,7 @@ def test_e10_backend_shootout(benchmark, smoke):
         return rows
 
     rows = run_once(benchmark, measure)
-    print_table(f"E10 list-vs-array baseline round at n={n}", rows)
+    print_table(f"E10 oracle-vs-array baseline round at n={n}", rows)
     by_name = {row["process"]: row for row in rows}
     if smoke:
         return
@@ -208,5 +208,5 @@ def test_e10_backend_shootout(benchmark, smoke):
     atomic_write_text(RESULTS_PATH, json.dumps(snapshot, indent=2) + "\n")
     print(f"snapshot written to {RESULTS_PATH}")
     # Acceptance: the packed flooding round (one pass of row unions) beats
-    # the list-backend Python triple loop by >=5x at n=1024.
+    # the reference Python triple loop by >=5x at n=1024.
     assert by_name["flooding"]["speedup"] >= 5.0

@@ -6,7 +6,7 @@ against its pre-PR2 implementation, at n ∈ {256, 1024, 4096}:
 * **membership batch ops** — batched edge membership get/set on the packed
   ``uint64`` rows vs the old n×n ``bool`` matrix (the bool gather is
   already a single fancy index, so the headline win here is the 8× memory
-  reduction, which is what lets the array backend scale);
+  reduction, which is what lets the array graphs scale);
 * **closure** — all-pairs reachability via the Warshall bitset kernel
   (:func:`repro.graphs.closure.reachability_bits`) vs the old per-node
   Python BFS (``reachability_matrix_bfs``), on random out-degree-4
@@ -114,7 +114,7 @@ def _measure_closure(n: int, rng: np.random.Generator) -> dict:
 
 def _measure_convergence_check(n: int) -> dict:
     """Per-round min-degree predicate: recompute-style vs incremental cache."""
-    proc = PushDiscovery(gen.cycle_graph(n), rng=BENCH_SEED, backend="array")
+    proc = PushDiscovery(gen.cycle_graph(n), rng=BENCH_SEED)
     for _ in range(5):
         proc.step()
     graph = proc.graph

@@ -1,7 +1,7 @@
 """PR4/PR5 — sharded round execution shoot-outs (``BENCH_PR4.json`` / ``BENCH_PR5.json``).
 
 Measures the sharded round engine (:mod:`repro.simulation.sharding`)
-against the unsharded array backend at n ≥ 2048:
+against the unsharded array kernels at n ≥ 2048:
 
 * **flooding end-to-end** — full convergence runs; flooding's row-union
   rounds are the heaviest per-round workload in the repo (Θ(n · m) IDs
@@ -89,7 +89,7 @@ def _time_flooding(n: int, shards: int, parallel, reps: int) -> dict:
     best = float("inf")
     rounds = edges = 0
     for _ in range(reps):
-        process = NeighborhoodFlooding(gen.cycle_graph(n), rng=BENCH_SEED, backend="array")
+        process = NeighborhoodFlooding(gen.cycle_graph(n), rng=BENCH_SEED)
         start = time.perf_counter()
         if shards == 1:
             result = process.run_to_convergence()
@@ -103,7 +103,7 @@ def _time_flooding(n: int, shards: int, parallel, reps: int) -> dict:
 
 def _time_push(n: int, shards: int, rounds: int) -> dict:
     """Wall seconds for ``rounds`` sharded push rounds (serial shard path)."""
-    process = PushDiscovery(gen.cycle_graph(n), rng=BENCH_SEED, backend="array")
+    process = PushDiscovery(gen.cycle_graph(n), rng=BENCH_SEED)
     start = time.perf_counter()
     if shards == 1:
         for _ in range(rounds):
@@ -270,13 +270,13 @@ def _registry_process(name: str, n: int):
     """
     if name == "directed_walk":
         return DirectedTwoHopWalk(
-            dgen.thm15_strong_lower_bound(n), rng=BENCH_SEED, backend="array"
+            dgen.thm15_strong_lower_bound(n), rng=BENCH_SEED
         )
     rng = np.random.default_rng(BENCH_SEED)
     graph = gen.watts_strogatz_graph(n, REGISTRY_DEGREE, 0.05, rng)
     if name == "name_dropper":
-        return NameDropper(graph, rng=BENCH_SEED, backend="array")
-    return RandomPointerJump(graph, rng=BENCH_SEED, backend="array")
+        return NameDropper(graph, rng=BENCH_SEED)
+    return RandomPointerJump(graph, rng=BENCH_SEED)
 
 
 def _time_registry_rounds(name: str, n: int, shards: int, rounds: int) -> dict:

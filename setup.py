@@ -1,8 +1,9 @@
 """Thin setup.py shim.
 
 The project is fully described by ``pyproject.toml``; this file exists only
-so that ``pip install -e . --no-use-pep517`` (the legacy editable path)
-works on environments without the ``wheel`` package installed.
+for the legacy editable path (``python setup.py develop``), which works on
+environments without the ``wheel`` package that pip's editable installs
+need.
 """
 
 from setuptools import setup

@@ -14,37 +14,29 @@ Quickstart
 >>> result.converged, graph.is_complete()
 (True, True)
 
-Backends
---------
-The round engine runs on one of two interchangeable graph substrates,
-selected with ``backend="list"`` (default) or ``backend="array"`` on any
-process constructor, :func:`make_process`, the experiment specs, and the
-CLI (``--backend array``):
+Graph substrate
+---------------
+Every process runs on one graph substrate: :class:`ArrayGraph` /
+:class:`ArrayDiGraph`, preallocated NumPy neighbour rows (amortized
+doubling) plus word-packed membership bits, so a whole round executes as
+a handful of bulk array operations.  The generators build it, and
+:func:`make_process`, the experiment specs and the CLI run on it.
 
-``list``
-    :class:`DynamicGraph` / :class:`DynamicDiGraph` — per-node Python
-    lists plus a hash set; O(1) scalar operations, minimal memory.
-``array``
-    :class:`ArrayGraph` / :class:`ArrayDiGraph` — preallocated NumPy
-    neighbour arrays (amortized doubling) plus a dense membership matrix;
-    whole rounds execute as a handful of bulk array operations, several
-    times faster at experiment scale.
+:class:`DynamicGraph` / :class:`DynamicDiGraph` — per-node Python lists
+plus a hash set — are the **reference oracle**.  A process handed one
+directly runs its per-node reference path, and because both substrates
+sample through the shared rules in :mod:`repro.graphs.sampling`, a seeded
+run on the oracle reproduces the array run's trace (per-round added
+edges, round counts, message/bit totals) draw for draw.
+``tests/test_backend_equivalence.py`` pins this contract.
 
-Both backends consume the same RNG stream through the shared bulk
-sampling rules in :mod:`repro.graphs.sampling`, so for a fixed seed they
-produce **identical traces** (per-round added edges, round counts,
-message/bit totals) under synchronous semantics —
-``tests/test_backend_equivalence.py`` pins this contract.  The array
-backend is also the substrate on which future sharded / multiprocess
-round execution will be built.
-
->>> fast = PushDiscovery(generators.cycle_graph(32), rng=0, backend="array")
->>> fast.run_to_convergence().rounds == result.rounds
+>>> oracle = PushDiscovery(generators.cycle_graph(32).to_dynamic(), rng=0)
+>>> oracle.run_to_convergence().rounds == result.rounds
 True
 
 Subpackages
 -----------
-``repro.graphs``      dynamic graph substrates (list + array) and generators
+``repro.graphs``      the array graph substrate, its reference oracle, generators
 ``repro.core``        the paper's processes (push, pull, directed)
 ``repro.baselines``   Name Dropper, Random Pointer Jump, flooding
 ``repro.network``     message-passing protocol implementations
@@ -66,7 +58,7 @@ from repro.core.base import (
 )
 from repro.core.subset import SubsetDiscovery
 from repro.graphs.adjacency import DynamicDiGraph, DynamicGraph
-from repro.graphs.array_adjacency import ArrayDiGraph, ArrayGraph, as_backend
+from repro.graphs.array_adjacency import ArrayDiGraph, ArrayGraph, GraphMemoryError
 from repro.graphs import generators, directed_generators, properties
 from repro.baselines import NameDropper, RandomPointerJump, NeighborhoodFlooding
 from repro.simulation.engine import make_process, measure_convergence_rounds
@@ -89,7 +81,7 @@ __all__ = [
     "DynamicDiGraph",
     "ArrayGraph",
     "ArrayDiGraph",
-    "as_backend",
+    "GraphMemoryError",
     "generators",
     "directed_generators",
     "properties",

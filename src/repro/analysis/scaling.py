@@ -82,7 +82,6 @@ def measure_scaling(
     poly_exponent: float = 1.0,
     max_rounds: Optional[int] = None,
     process_kwargs: Optional[Dict] = None,
-    backend: str = "list",
     shards: int = 1,
 ) -> ScalingMeasurement:
     """Sweep ``process`` over ``family`` at the given sizes and fit growth laws.
@@ -104,13 +103,9 @@ def measure_scaling(
         Whether ``family`` is in the directed registry.
     poly_exponent:
         Fixed polynomial exponent for the theorem-shaped fit.
-    backend:
-        Graph backend for every trial (``"list"`` or ``"array"``).  The
-        measured rounds are backend-independent for a fixed seed; only the
-        wall-clock cost changes.
     shards:
-        Row-shard count for the round engine (requires ``backend="array"``
-        when > 1; see :mod:`repro.simulation.sharding`).
+        Row-shard count for the round engine (see
+        :mod:`repro.simulation.sharding`).
     """
     if len(sizes) < 2:
         raise ValueError("scaling measurement needs at least two sizes")
@@ -126,7 +121,6 @@ def measure_scaling(
             directed=directed,
             process_kwargs=dict(process_kwargs or {}),
             max_rounds=max_rounds,
-            backend=backend,
             shards=shards,
         )
         trials_out = run_trials(spec, root_seed=seed)

@@ -1,4 +1,4 @@
-"""Shared backend plumbing for the baseline processes.
+"""Shared round plumbing for the baseline processes.
 
 The baselines (Name Dropper, Random Pointer Jump, neighbourhood flooding)
 ship whole neighbour sets per message, so their rounds are set-union work
@@ -7,8 +7,8 @@ module holds what all three share:
 
 * :func:`require_undirected` — the capability check that replaced the old
   ``isinstance(graph, DynamicGraph)`` guards, so any graph speaking the
-  undirected neighbour/membership protocol (list- or array-backed) is
-  accepted;
+  undirected neighbour/membership protocol (the array substrate or the
+  list-based reference oracle) is accepted;
 * :func:`packed_rows` — the fast-path gate: graphs exposing padded
   neighbour rows plus word-packed membership rows (``ArrayGraph`` /
   ``ArrayDiGraph``) get the vectorized round kernels;
@@ -44,9 +44,9 @@ def supports_undirected(graph) -> bool:
     Capability-based: both :class:`~repro.graphs.adjacency.DynamicGraph`
     and :class:`~repro.graphs.array_adjacency.ArrayGraph` qualify; directed
     graphs and arbitrary objects do not.  This predicate (not an
-    ``isinstance`` check against one backend class) is what recorders and
+    ``isinstance`` check against one graph class) is what recorders and
     simulators must gate on — a stale ``isinstance(graph, DynamicGraph)``
-    guard silently no-ops on the array backend.
+    guard silently no-ops on the array substrate.
     """
     if getattr(graph, "directed", True):
         return False

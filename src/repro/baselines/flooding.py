@@ -7,18 +7,18 @@ squares the reachable radius every round, so the process completes in
 hope for — but the per-round traffic is Θ(n · m) IDs.  It anchors the
 "rounds vs bits" trade-off plot of experiment E10.
 
-Backend-agnostic: the list backend runs the per-node reference loop
-(snapshot every knowledge set, deliver payload by payload), while the
-array backend runs the whole round as **one pass of row unions** on the
-word-packed membership rows: node ``v``'s new row is the OR of its
+On an :class:`~repro.graphs.array_adjacency.ArrayGraph` the whole round
+runs as **one pass of row unions** on the word-packed membership rows: node ``v``'s new row is the OR of its
 neighbours' round-start rows (:func:`repro.graphs.bitset.rows_or_into`),
 the genuinely new edges fall out of the popcount delta
 (:func:`repro.graphs.bitset.delta_edges`), and degree sums feed
-``messages_sent``/``bits_sent``.  Flooding draws no randomness, so both
-paths add the identical per-round edge sets; the packed round discovers
-them in canonical rather than scan order and does not materialise the
-Θ(n · m) ``proposed_edges`` list (its ``added_edges`` and accounting are
-exact).
+``messages_sent``/``bits_sent``.  Handed a reference-oracle
+:class:`~repro.graphs.adjacency.DynamicGraph`, the process runs the
+per-node reference loop instead (snapshot every knowledge set, deliver
+payload by payload).  Flooding draws no randomness, so both paths add the
+identical per-round edge sets; the packed round discovers them in
+canonical rather than scan order and does not materialise the Θ(n · m)
+``proposed_edges`` list (its ``added_edges`` and accounting are exact).
 
 Flooding is deterministic and purely synchronous: the round is computed
 against the round-start snapshot regardless of the ``semantics`` setting
@@ -39,7 +39,6 @@ from repro.baselines._packed import (
 )
 from repro.core.base import DiscoveryProcess, RoundResult, UpdateSemantics
 from repro.graphs import bitset
-from repro.graphs.array_adjacency import as_backend
 
 __all__ = ["NeighborhoodFlooding"]
 
@@ -54,10 +53,7 @@ class NeighborhoodFlooding(DiscoveryProcess):
         graph,
         rng: Union[np.random.Generator, int, None] = None,
         semantics: UpdateSemantics = UpdateSemantics.SYNCHRONOUS,
-        backend: Optional[str] = None,
     ) -> None:
-        if backend is not None:
-            graph = as_backend(graph, backend)
         require_undirected(graph, "NeighborhoodFlooding")
         super().__init__(graph, rng, semantics)
 

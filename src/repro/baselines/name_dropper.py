@@ -6,26 +6,26 @@ merges the sender's whole neighbour set into its own.  Name Dropper
 converges in O(log² n) rounds but each message carries up to Θ(n) node IDs
 — exactly the bandwidth cost the gossip processes avoid.
 
-The implementation is backend-agnostic with the same round/metric
-interface as the gossip processes, so the baselines plug into the
-identical experiment harness (``make_process``/``ExperimentSpec``/CLI
-``--backend``):
+The implementation has the same round/metric interface as the gossip
+processes, so the baselines plug into the identical experiment harness
+(``make_process``/``ExperimentSpec``/CLI).  It has two round paths:
 
-* **list backend** — the per-node reference loop: one payload list per
-  sender, one ``add_edge`` per delivered ID;
-* **array backend** — the packed round: targets come from one bulk draw,
-  all payloads are expanded from the padded neighbour-row block in one
-  gather, and the whole round's deliveries go through the graph's batched
-  edge insert.  A delivery merges the sender's bitset membership row into
-  the recipient's, and popcount/degree deltas feed the
-  ``messages_sent``/``bits_sent`` accounting.
+* the **packed round** (an :class:`~repro.graphs.array_adjacency.ArrayGraph`,
+  synchronous): targets come from one bulk draw, all payloads are
+  expanded from the padded neighbour-row block in one gather, and the
+  whole round's deliveries go through the graph's batched edge insert.
+  A delivery merges the sender's bitset membership row into the
+  recipient's, and popcount/degree deltas feed the
+  ``messages_sent``/``bits_sent`` accounting;
+* the **per-node reference loop** (sequential rounds, or a
+  reference-oracle :class:`~repro.graphs.adjacency.DynamicGraph`): one
+  payload list per sender, one ``add_edge`` per delivered ID.
 
 Trace contract: synchronous rounds draw one bulk ``rng.random(n)`` per
-round (the shared backend draw convention of
-:mod:`repro.graphs.sampling`), and sequential rounds draw exactly one
-``rng.integers`` per active node; both backends therefore produce
-identical seeded traces (``tests/test_backend_equivalence.py``, goldens
-under ``tests/data/``).
+round (the shared draw convention of :mod:`repro.graphs.sampling`), and
+sequential rounds draw exactly one ``rng.integers`` per active node; both
+paths therefore produce identical seeded traces
+(``tests/test_backend_equivalence.py``, goldens under ``tests/data/``).
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from repro.baselines._packed import (
     rows_with_self,
 )
 from repro.core.base import BatchProposals, DiscoveryProcess, RoundResult, UpdateSemantics
-from repro.graphs.array_adjacency import as_backend
 
 __all__ = ["NameDropper"]
 
@@ -62,10 +61,7 @@ class NameDropper(DiscoveryProcess):
         graph,
         rng: Union[np.random.Generator, int, None] = None,
         semantics: UpdateSemantics = UpdateSemantics.SYNCHRONOUS,
-        backend: Optional[str] = None,
     ) -> None:
-        if backend is not None:
-            graph = as_backend(graph, backend)
         require_undirected(graph, "NameDropper")
         super().__init__(graph, rng, semantics)
 
@@ -114,8 +110,8 @@ class NameDropper(DiscoveryProcess):
         """Synchronous reference round: per-node payload loop, bulk target draw.
 
         One uniform per *participating* node — the packed round consumes the
-        identical stream, so subset schedules stay trace-equivalent across
-        backends.
+        identical stream, so subset schedules stay trace-equivalent on both
+        paths.
         """
         graph = self.graph
         targets = graph.random_neighbors(active, self.rng)
@@ -138,14 +134,14 @@ class NameDropper(DiscoveryProcess):
         deg: np.ndarray,
         bits: np.ndarray,
     ) -> None:
-        """Synchronous packed round on the array backend.
+        """Synchronous packed round on the array substrate.
 
         Same bulk target draw as the reference round, then the whole
         round's payloads — each active sender's neighbour row plus itself —
         are expanded in one gather and delivered through the graph's batched
         row-union insert, preserving the reference path's first-occurrence
         edge order exactly (so neighbour rows, and hence future draws,
-        stay aligned across backends).
+        stay aligned with the reference loop).
         """
         graph = self.graph
         targets = graph.random_neighbors(active, self.rng)

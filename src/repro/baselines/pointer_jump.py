@@ -8,17 +8,18 @@ Harchol-Balter et al. example gives it an Ω(n) round lower bound.
 
 We provide both the directed form (the one discussed in the paper, used
 as a baseline for the directed two-hop walk experiments) and an undirected
-form for the undirected comparison sweep.  Both forms are
-backend-agnostic: the list backend runs the per-node reference loop, the
-array backend expands every pulled payload — the chosen neighbour's whole
-row — from the padded (out-)neighbour block in one gather and applies the
-round through the graph's batched row-union insert, with degree sums
-feeding the ``messages_sent``/``bits_sent`` accounting.
+form for the undirected comparison sweep.  On the array substrate both
+forms expand every pulled payload — the chosen neighbour's whole row —
+from the padded (out-)neighbour block in one gather and apply the round
+through the graph's batched row-union insert, with degree sums feeding
+the ``messages_sent``/``bits_sent`` accounting.  Sequential rounds, and a
+reference-oracle :class:`~repro.graphs.adjacency.DynamicGraph`, run the
+per-node reference loop.
 
 Trace contract: synchronous rounds draw one bulk ``rng.random(n)`` per
-round (the shared backend draw convention), sequential rounds one
+round (the shared draw convention), sequential rounds one
 ``rng.integers`` per active node; payloads are snapshotted against the
-round-start graph, so seeded traces are identical across backends.
+round-start graph, so both paths produce identical seeded traces.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ import numpy as np
 
 from repro.baselines._packed import active_nodes_array, concat_rows, packed_rows
 from repro.core.base import BatchProposals, DiscoveryProcess, RoundResult, UpdateSemantics
-from repro.graphs.array_adjacency import as_backend
 from repro.graphs.closure import transitive_closure_edges
 
 __all__ = ["RandomPointerJump"]
@@ -51,12 +51,9 @@ class RandomPointerJump(DiscoveryProcess):
         graph,
         rng: Union[np.random.Generator, int, None] = None,
         semantics: UpdateSemantics = UpdateSemantics.SYNCHRONOUS,
-        backend: Optional[str] = None,
     ) -> None:
-        if backend is not None:
-            graph = as_backend(graph, backend)
         super().__init__(graph, rng, semantics)
-        # Flag-based so the array-backend graphs classify correctly too.
+        # Flag-based: array graphs and the reference oracle classify alike.
         self._directed = bool(getattr(graph, "directed", False))
         if self._directed:
             closure = transitive_closure_edges(graph)
@@ -143,7 +140,7 @@ class RandomPointerJump(DiscoveryProcess):
         The pulled payloads are the chosen neighbours' padded rows,
         flattened in participating-node order, so the batched insert
         reproduces the reference path's first-occurrence edge order exactly
-        and neighbour rows stay aligned across backends.
+        and neighbour rows stay aligned with the reference loop.
         """
         graph = self.graph
         targets = self._bulk_targets(active)

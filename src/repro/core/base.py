@@ -13,9 +13,9 @@ draw per sampling stage, whole-array index math, a batched edge insert).
 The base implementation falls back to calling :meth:`propose` per node, so
 processes that customise ``propose`` — the faulty variants' churn wrapper,
 user subclasses — keep their exact per-node behaviour.  The bulk draw
-convention is shared by the list and array graph backends
-(see :mod:`repro.graphs.sampling`), which makes seeded traces identical
-across backends under ``UpdateSemantics.SYNCHRONOUS``.
+convention is shared by the array graph substrate and the reference-oracle
+list graphs (see :mod:`repro.graphs.sampling`), which makes seeded traces
+identical on both under ``UpdateSemantics.SYNCHRONOUS``.
 
 A ``sequential`` update mode is provided as an ablation (nodes act in index
 order and see edges added earlier in the same round) — the paper's proofs
@@ -33,7 +33,7 @@ from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.graphs.adjacency import DynamicDiGraph, DynamicGraph
-from repro.graphs.array_adjacency import ArrayDiGraph, ArrayGraph, as_backend, backend_name
+from repro.graphs.array_adjacency import ArrayDiGraph, ArrayGraph
 
 __all__ = [
     "UpdateSemantics",
@@ -54,7 +54,7 @@ def id_bits(n: int) -> int:
     This is the paper's ``O(log n)``-bit message payload unit.  It is the
     single authority for bit accounting: the round engine (both the bulk
     and the per-node accounting paths) and the message-level network layer
-    all charge ``id_bits(n)`` per transmitted node ID, so the two backends
+    all charge ``id_bits(n)`` per transmitted node ID, so the two layers
     can never drift apart on ``bits_sent``.  Degenerate sizes are pinned by
     tests: a 1- or 2-node system still pays 1 bit per ID.
     """
@@ -211,19 +211,15 @@ class DiscoveryProcess(abc.ABC):
     ----------
     graph:
         The starting graph; it is mutated in place.  Pass ``graph.copy()``
-        if the caller needs to keep the original.
+        if the caller needs to keep the original.  An :class:`ArrayGraph`
+        (what the generators build) runs the vectorized kernels; a
+        reference-oracle :class:`DynamicGraph` with the same neighbour rows
+        produces the identical seeded trace under synchronous semantics.
     rng:
         A :class:`numpy.random.Generator` or an integer seed.  Every random
         choice of the process flows through this generator.
     semantics:
         Synchronous (paper model, default) or sequential updates.
-    backend:
-        Optional graph backend selector: ``"list"`` (per-node Python lists,
-        the default substrate) or ``"array"`` (preallocated NumPy arrays,
-        the vectorized fast path).  When given, the graph is converted with
-        :func:`repro.graphs.array_adjacency.as_backend`; when ``None`` the
-        graph is used as passed.  Both backends produce identical seeded
-        traces under synchronous semantics.
     """
 
     #: messages sent per participating node per round (overridden by subclasses).
@@ -234,12 +230,8 @@ class DiscoveryProcess(abc.ABC):
         graph: GraphLike,
         rng: Union[np.random.Generator, int, None] = None,
         semantics: UpdateSemantics = UpdateSemantics.SYNCHRONOUS,
-        backend: Optional[str] = None,
     ) -> None:
-        if backend is not None:
-            graph = as_backend(graph, backend)
         self.graph = graph
-        self.backend = backend_name(graph)
         if isinstance(rng, np.random.Generator):
             self.rng = rng
         else:

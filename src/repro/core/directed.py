@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.core.base import BatchProposals, DiscoveryProcess, UpdateSemantics
 from repro.graphs import bitset
-from repro.graphs.adjacency import DynamicDiGraph
+from repro.graphs.array_adjacency import ArrayDiGraph
 from repro.graphs.closure import IncrementalClosure, adjacency_bits
 
 __all__ = ["DirectedTwoHopWalk"]
@@ -51,9 +51,6 @@ class DirectedTwoHopWalk(DiscoveryProcess):
         Seed or :class:`numpy.random.Generator`.
     semantics:
         Synchronous (default) or sequential updates.
-    backend:
-        Optional graph backend selector (``"list"`` or ``"array"``); see
-        :class:`DiscoveryProcess`.
     """
 
     #: request to v, reply with w's ID, introduction/edge creation toward w.
@@ -61,17 +58,15 @@ class DirectedTwoHopWalk(DiscoveryProcess):
 
     def __init__(
         self,
-        graph: DynamicDiGraph,
+        graph: ArrayDiGraph,
         rng: Union[np.random.Generator, int, None] = None,
         semantics: UpdateSemantics = UpdateSemantics.SYNCHRONOUS,
-        backend: Optional[str] = None,
     ) -> None:
         if not getattr(graph, "directed", False):
             raise TypeError(
                 "DirectedTwoHopWalk requires a directed graph (DynamicDiGraph or ArrayDiGraph)"
             )
-        super().__init__(graph, rng, semantics, backend=backend)
-        graph = self.graph  # the backend conversion may have replaced it
+        super().__init__(graph, rng, semantics)
         # One full Warshall pass at construction; every later update is
         # incremental.  The target excludes the diagonal (cycles through u
         # are never edges), matching transitive_closure_edges().

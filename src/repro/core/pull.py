@@ -20,7 +20,7 @@ from typing import Iterable, Optional, Tuple, Union
 import numpy as np
 
 from repro.core.base import BatchProposals, DiscoveryProcess, UpdateSemantics
-from repro.graphs.adjacency import DynamicGraph
+from repro.graphs.array_adjacency import ArrayGraph
 
 __all__ = ["PullDiscovery"]
 
@@ -36,9 +36,6 @@ class PullDiscovery(DiscoveryProcess):
         Seed or :class:`numpy.random.Generator`.
     semantics:
         Synchronous (default) or sequential updates.
-    backend:
-        Optional graph backend selector (``"list"`` or ``"array"``); see
-        :class:`DiscoveryProcess`.
     """
 
     #: request to v, reply with w's ID, introduction message to w.
@@ -46,14 +43,13 @@ class PullDiscovery(DiscoveryProcess):
 
     def __init__(
         self,
-        graph: DynamicGraph,
+        graph: ArrayGraph,
         rng: Union[np.random.Generator, int, None] = None,
         semantics: UpdateSemantics = UpdateSemantics.SYNCHRONOUS,
-        backend: Optional[str] = None,
     ) -> None:
         if getattr(graph, "directed", True):
             raise TypeError("PullDiscovery requires an undirected graph (DynamicGraph or ArrayGraph)")
-        super().__init__(graph, rng, semantics, backend=backend)
+        super().__init__(graph, rng, semantics)
 
     def propose(self, node: int) -> Optional[Tuple[int, int]]:
         """Sample the endpoint of ``node``'s two-hop walk this round."""
@@ -81,8 +77,8 @@ class PullDiscovery(DiscoveryProcess):
         """The raw kernel: hop one over all nodes, hop two over the sampled ``v``s.
 
         The second hop chains through the ``-1`` sentinel, so isolated nodes
-        consume their uniforms (keeping the draw stream aligned across
-        backends) without ever touching a neighbour row.
+        consume their uniforms (keeping the draw stream aligned with the
+        per-node reference path) without ever touching a neighbour row.
         """
         graph = self.graph
         nodes = np.asarray(nodes, dtype=np.int64)

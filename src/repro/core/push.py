@@ -19,7 +19,7 @@ from typing import Iterable, Optional, Tuple, Union
 import numpy as np
 
 from repro.core.base import BatchProposals, DiscoveryProcess, UpdateSemantics
-from repro.graphs.adjacency import DynamicGraph
+from repro.graphs.array_adjacency import ArrayGraph
 from repro.graphs.sampling import uniform_indices
 
 __all__ = ["PushDiscovery"]
@@ -41,9 +41,6 @@ class PushDiscovery(DiscoveryProcess):
         the two introduced neighbours are drawn *without* replacement, so a
         node never wastes a round introducing a neighbour to itself.  The
         paper's process uses with-replacement sampling (default False).
-    backend:
-        Optional graph backend selector (``"list"`` or ``"array"``); see
-        :class:`DiscoveryProcess`.
     """
 
     #: a push round sends each chosen neighbour the other's ID.
@@ -51,15 +48,14 @@ class PushDiscovery(DiscoveryProcess):
 
     def __init__(
         self,
-        graph: DynamicGraph,
+        graph: ArrayGraph,
         rng: Union[np.random.Generator, int, None] = None,
         semantics: UpdateSemantics = UpdateSemantics.SYNCHRONOUS,
         without_replacement: bool = False,
-        backend: Optional[str] = None,
     ) -> None:
         if getattr(graph, "directed", True):
             raise TypeError("PushDiscovery requires an undirected graph (DynamicGraph or ArrayGraph)")
-        super().__init__(graph, rng, semantics, backend=backend)
+        super().__init__(graph, rng, semantics)
         self.without_replacement = without_replacement
 
     def propose(self, node: int) -> Optional[Tuple[int, int]]:
@@ -92,7 +88,7 @@ class PushDiscovery(DiscoveryProcess):
         return self._propose_batch_kernel(nodes)
 
     def _propose_batch_kernel(self, nodes: Iterable[int]) -> BatchProposals:
-        """The raw kernel, draw-stream-identical on every backend.
+        """The raw kernel, draw-stream-identical on every graph substrate.
 
         With replacement (the paper's process): one ``rng.random(m)`` per
         introduced endpoint, mapped to indices by the shared sampling rule.

@@ -62,7 +62,7 @@ class _FaultyMixin:
 
         With ``failure_prob == 0`` this is draw-for-draw identical to the
         fault-free process, preserving the "zero faults behaves like the
-        base process" contract on every backend.  ``owner`` is the concrete
+        base process" contract on every graph.  ``owner`` is the concrete
         faulty class whose ``propose`` pairs with this batch rule; any
         further customisation falls back to the per-node path.
         """

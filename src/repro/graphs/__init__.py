@@ -1,8 +1,9 @@
 """Graph substrate for the gossip discovery processes.
 
-This subpackage provides the dynamic graph data structures the processes
-mutate (:mod:`repro.graphs.adjacency`), generators for every graph family
-used in the paper's arguments and in our experiments
+This subpackage provides the array graph substrate the processes mutate
+(:mod:`repro.graphs.array_adjacency`), the per-node-list reference oracle
+it is tested against (:mod:`repro.graphs.adjacency`), generators for
+every graph family used in the paper's arguments and in our experiments
 (:mod:`repro.graphs.generators`, :mod:`repro.graphs.directed_generators`),
 structural property computations matching the paper's notation
 (:mod:`repro.graphs.properties`), word-packed ``uint64`` bitset kernels for
@@ -13,7 +14,7 @@ transitive-closure utilities for the directed termination condition
 """
 
 from repro.graphs.adjacency import DynamicDiGraph, DynamicGraph
-from repro.graphs.array_adjacency import ArrayDiGraph, ArrayGraph, BACKENDS, as_backend
+from repro.graphs.array_adjacency import ArrayDiGraph, ArrayGraph, GraphMemoryError
 from repro.graphs import (
     bitset,
     generators,
@@ -29,8 +30,7 @@ __all__ = [
     "DynamicDiGraph",
     "ArrayGraph",
     "ArrayDiGraph",
-    "BACKENDS",
-    "as_backend",
+    "GraphMemoryError",
     "bitset",
     "generators",
     "directed_generators",

@@ -1,4 +1,10 @@
-"""Dynamic adjacency structures tuned for the gossip discovery processes.
+"""Per-node-list graphs: the reference oracle for the array substrate.
+
+The processes run on :mod:`repro.graphs.array_adjacency`; these classes
+are the straightforward implementation they are checked against.  Handed
+one of them directly, a process takes its per-node reference path, and
+because both sample through :mod:`repro.graphs.sampling` the seeded trace
+matches the array run's draw for draw (``tests/test_backend_equivalence.py``).
 
 The discovery processes of the paper perform exactly two hot operations on
 the evolving graph, many times per round:
@@ -65,7 +71,7 @@ class DynamicGraph:
 
     __slots__ = ("_n", "_neighbors", "_edge_set", "_num_edges", "_degrees")
 
-    #: backend dispatch flag: undirected graphs expose degree()/neighbors().
+    #: dispatch flag: undirected graphs expose degree()/neighbors().
     directed = False
 
     def __init__(self, n: int, edges: Optional[Iterable[Tuple[int, int]]] = None) -> None:
@@ -183,7 +189,7 @@ class DynamicGraph:
 
         Sequential application: within the batch the *first* occurrence of
         each new edge wins, exactly as if :meth:`add_edge` were called in
-        order.  The array backend implements the same contract vectorised;
+        order.  ``ArrayGraph`` implements the same contract vectorised;
         the round engine relies on both producing identical results.
         """
         return [(u, v) for u, v in edges if self.add_edge(u, v)]
@@ -202,7 +208,7 @@ class DynamicGraph:
 
         Consumes exactly ``rng.random(len(nodes))`` and maps the uniforms to
         neighbour indices with :func:`repro.graphs.sampling.uniform_indices`,
-        so the draw stream is identical across backends.  Entries that are
+        so the draw stream matches ``ArrayGraph``'s.  Entries that are
         ``-1`` or isolated yield ``-1`` (they still consume their uniform).
         """
         nodes = np.asarray(nodes, dtype=np.int64)
@@ -371,7 +377,7 @@ class DynamicDiGraph:
 
     __slots__ = ("_n", "_out", "_edge_set", "_num_edges", "_out_degrees", "_in_degrees")
 
-    #: backend dispatch flag: directed graphs expose out_degree()/out_neighbors().
+    #: dispatch flag: directed graphs expose out_degree()/out_neighbors().
     directed = True
 
     def __init__(self, n: int, edges: Optional[Iterable[Tuple[int, int]]] = None) -> None:

@@ -1,10 +1,9 @@
-"""NumPy-array-backed graph backend for the vectorized round engine.
+"""The NumPy-array graph substrate every process runs on.
 
-:class:`ArrayGraph` and :class:`ArrayDiGraph` are drop-in substrates for
-the discovery processes that store neighbour lists in one preallocated
-2-D ``int64`` array (one row per node, amortized column doubling) plus a
-word-packed membership matrix, instead of per-node Python lists and a
-hash set.  Per-round work then becomes whole-array operations:
+:class:`ArrayGraph` and :class:`ArrayDiGraph` store neighbour lists in one
+preallocated 2-D ``int64`` array (one row per node, amortized column
+doubling) plus a word-packed membership matrix, so per-round work is
+whole-array operations:
 
 * ``random_neighbors(nodes, rng)`` — one ``rng.random(m)`` draw and one
   fancy-indexed gather for a whole batch of nodes;
@@ -12,37 +11,35 @@ hash set.  Per-round work then becomes whole-array operations:
   with first-occurrence order preserved, then O(1) slot writes for the
   (few) genuinely new edges.
 
-The classes share the paper's append-only contract with the list backend
-(:mod:`repro.graphs.adjacency`): edges are only ever added.
+Edges are only ever added, the paper's append-only contract.
 
 Packed memory model
 -------------------
 Membership lives in ``uint64`` bitset rows (:mod:`repro.graphs.bitset`):
 bit ``v`` of row ``u`` is the edge ``(u, v)``, so the matrix costs
-``n² / 8`` bytes — 8× less than the previous ``bool`` matrix — and batch
-membership tests, completeness predicates and the closure/reachability
-kernels all run word-parallel (64 pairs per machine-word operation).
-``adjacency_bits()`` exposes the packed rows directly (read-only) so
-:mod:`repro.graphs.closure` and :mod:`repro.graphs.properties` can run
-their kernels with zero conversion cost.
+``n² / 8`` bytes and batch membership tests, completeness predicates and
+the closure/reachability kernels all run word-parallel (64 pairs per
+machine-word operation).  ``adjacency_bits()`` exposes the packed rows
+directly (read-only) so :mod:`repro.graphs.closure` and
+:mod:`repro.graphs.properties` can run their kernels with zero conversion
+cost.  An allocation that could never fit — the membership matrix of a
+huge ``n``, or a neighbour block grown past physical memory — raises
+:class:`GraphMemoryError` up front instead of thrashing into an OOM kill.
 
-Draw-stream equivalence
------------------------
-Both backends sample through :mod:`repro.graphs.sampling`, consume the
-same number of uniforms per call, and keep neighbour rows in the same
-insertion order, so a process run on ``ArrayGraph`` reproduces the exact
-seeded trace of the same run on ``DynamicGraph`` under synchronous
-semantics.  ``tests/test_backend_equivalence.py`` pins this contract.
-Membership storage is invisible to the RNG draw convention: repacking the
-``bool`` matrix into bitset rows changed no trace byte (pinned by the
-golden traces under ``tests/data/``).
-
-Use :func:`as_backend` to convert a graph to the requested backend.
+The reference oracle
+--------------------
+:class:`~repro.graphs.adjacency.DynamicGraph` keeps per-node Python lists
+and samples through the same :mod:`repro.graphs.sampling` rules, so a
+process run on an ``ArrayGraph`` reproduces the exact seeded trace of the
+same run on the ``DynamicGraph`` with identical neighbour rows
+(:meth:`ArrayGraph.to_dynamic`).  ``tests/test_backend_equivalence.py``
+pins this contract draw for draw.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+import os
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -50,10 +47,7 @@ from repro.graphs import bitset
 from repro.graphs.adjacency import DynamicDiGraph, DynamicGraph
 from repro.graphs.sampling import masked_counts, uniform_indices
 
-__all__ = ["ArrayGraph", "ArrayDiGraph", "as_backend", "backend_name", "BACKENDS"]
-
-#: the selectable graph-backend names.
-BACKENDS = ("list", "array")
+__all__ = ["ArrayGraph", "ArrayDiGraph", "GraphMemoryError"]
 
 _MIN_CAPACITY = 4
 
@@ -64,6 +58,46 @@ def _round_up_pow2(value: int) -> int:
     while cap < value:
         cap *= 2
     return cap
+
+
+class GraphMemoryError(MemoryError):
+    """A graph allocation would exceed the host's physical memory."""
+
+
+def _physical_memory() -> Optional[int]:
+    """Physical RAM in bytes, or ``None`` where ``sysconf`` cannot tell."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, OSError, ValueError):
+        return None
+
+
+def _check_allocation(n: int, nbytes: int, what: str) -> None:
+    """Raise :class:`GraphMemoryError` when ``nbytes`` exceeds physical RAM."""
+    ram = _physical_memory()
+    if ram is not None and nbytes > ram:
+        raise GraphMemoryError(
+            f"{what} for n={n} needs {nbytes} bytes ({nbytes / 2**30:.1f} GiB), "
+            f"more than the {ram} bytes ({ram / 2**30:.1f} GiB) of physical RAM"
+        )
+
+
+def _initial_bytes(n: int, vectors: int) -> int:
+    """Bytes of a fresh graph: neighbour block, ``vectors`` degree vectors, bitset rows."""
+    return 8 * n * (_MIN_CAPACITY + vectors + bitset.words_for(n))
+
+
+def _grown_block(n: int, block: np.ndarray, cap: int, needed: int) -> np.ndarray:
+    """``block`` (``n × cap``) copied into a ``-1``-padded power-of-two-wide one.
+
+    The old and the new block are alive together during the copy, so both
+    count against the memory check.
+    """
+    new_cap = _round_up_pow2(needed)
+    _check_allocation(n, 8 * n * (cap + new_cap), f"growing neighbour rows to width {new_cap}")
+    grown = np.full((n, new_cap), -1, dtype=np.int64)
+    grown[:, :cap] = block
+    return grown
 
 
 class ArrayGraph:
@@ -86,21 +120,21 @@ class ArrayGraph:
 
     __slots__ = ("_n", "_nbr", "_deg", "_bits", "_num_edges", "_cap")
 
-    #: backend dispatch flag: undirected graphs expose degree()/neighbors().
+    #: dispatch flag: undirected graphs expose degree()/neighbors().
     directed = False
 
     def __init__(self, n: int, edges: Optional[Iterable[Tuple[int, int]]] = None) -> None:
         if n < 0:
             raise ValueError(f"number of nodes must be non-negative, got {n}")
         self._n = int(n)
+        _check_allocation(self._n, _initial_bytes(self._n, 1), "an ArrayGraph")
         self._cap = _MIN_CAPACITY
         self._nbr = np.full((self._n, self._cap), -1, dtype=np.int64)
         self._deg = np.zeros(self._n, dtype=np.int64)
         self._bits = bitset.zeros(self._n, self._n)
         self._num_edges = 0
         if edges is not None:
-            for u, v in edges:
-                self.add_edge(u, v)
+            self.add_edges_batch(list(edges))
 
     # ------------------------------------------------------------------ #
     # basic accessors
@@ -248,7 +282,7 @@ class ArrayGraph:
         Grouped slot assignment: interleaving the endpoints (u-entry before
         v-entry, batch order preserved by the stable sort) reproduces the
         exact append order of sequential :meth:`add_edge` calls, which keeps
-        neighbour rows identical to the list backend's.
+        neighbour rows identical to the reference oracle's.
         """
         k = add_u.shape[0]
         ends = np.empty(2 * k, dtype=np.int64)
@@ -278,11 +312,8 @@ class ArrayGraph:
     def _ensure_capacity(self, needed: int) -> None:
         if needed <= self._cap:
             return
-        new_cap = _round_up_pow2(needed)
-        grown = np.full((self._n, new_cap), -1, dtype=np.int64)
-        grown[:, : self._cap] = self._nbr
-        self._nbr = grown
-        self._cap = new_cap
+        self._nbr = _grown_block(self._n, self._nbr, self._cap, needed)
+        self._cap = self._nbr.shape[1]
 
     # ------------------------------------------------------------------ #
     # sampling
@@ -292,7 +323,7 @@ class ArrayGraph:
 
         Same draw-stream contract as :meth:`DynamicGraph.random_neighbors`:
         exactly ``rng.random(len(nodes))`` is consumed and indices come from
-        :func:`repro.graphs.sampling.uniform_indices`, so both backends map
+        :func:`repro.graphs.sampling.uniform_indices`, so both substrates map
         the same seed to the same choices.  ``-1`` marks invalid entries.
         """
         nodes = np.asarray(nodes, dtype=np.int64)
@@ -369,8 +400,8 @@ class ArrayGraph:
     def from_graph(cls, graph: DynamicGraph) -> "ArrayGraph":
         """Build an :class:`ArrayGraph` preserving per-node neighbour order.
 
-        Preserving insertion order (not just the edge set) is what makes the
-        seeded traces of the two backends identical.
+        Preserving insertion order (not just the edge set) is what makes a
+        seeded run trace-identical to the same run on ``graph``.
         """
         g = cls(graph.n)
         if graph.n == 0:
@@ -388,13 +419,38 @@ class ArrayGraph:
         return g
 
     def to_dynamic(self) -> DynamicGraph:
-        """Convert back to a list-backed :class:`DynamicGraph`.
+        """The reference-oracle twin: a :class:`DynamicGraph` with identical rows.
 
-        The result has the same edge set; per-node insertion order follows
-        the canonical edge order (the original global insertion interleaving
-        is not recoverable from per-node rows).
+        Every neighbour row keeps its insertion order, so a process seeded
+        alike runs draw for draw the same on both graphs.
         """
-        return DynamicGraph(self._n, self.edge_list())
+        g = DynamicGraph(self._n)
+        g._neighbors = [self._nbr[u, :d].tolist() for u, d in enumerate(self._deg.tolist())]
+        g._edge_set = set(self.edges())
+        g._degrees = self._deg.copy()
+        g._num_edges = self._num_edges
+        return g
+
+    def subgraph(self, nodes: Sequence[int]) -> Tuple["ArrayGraph", Dict[int, int]]:
+        """The induced subgraph on ``nodes`` plus the relabelling map.
+
+        Same contract as :meth:`DynamicGraph.subgraph`: nodes are relabelled
+        ``0 .. k-1`` in the order given, and the edges are inserted in sorted
+        host-label order, so the subgraph's neighbour rows (and any seeded
+        run on it) do not depend on how the host was built.
+        """
+        mapping = {orig: new for new, orig in enumerate(nodes)}
+        if len(mapping) != len(nodes):
+            raise ValueError("duplicate nodes in subgraph selection")
+        labels = np.asarray(nodes, dtype=np.int64).reshape(-1)
+        if labels.size and (labels.min() < 0 or labels.max() >= self._n):
+            raise IndexError(f"subgraph node out of range [0, {self._n})")
+        induced = bitset.unpack_bool_matrix(self._bits[labels], self._n)[:, labels]
+        i, j = np.nonzero(induced & (labels[:, None] < labels[None, :]))
+        order = np.lexsort((labels[j], labels[i]))
+        sub = ArrayGraph(labels.size)
+        sub.add_edges_batch_arrays(i[order], j[order])
+        return sub, mapping
 
     # ------------------------------------------------------------------ #
     # dunder / misc
@@ -426,13 +482,14 @@ class ArrayDiGraph:
 
     __slots__ = ("_n", "_out", "_out_deg", "_in_deg", "_bits", "_num_edges", "_cap")
 
-    #: backend dispatch flag: directed graphs expose out_degree()/out_neighbors().
+    #: dispatch flag: directed graphs expose out_degree()/out_neighbors().
     directed = True
 
     def __init__(self, n: int, edges: Optional[Iterable[Tuple[int, int]]] = None) -> None:
         if n < 0:
             raise ValueError(f"number of nodes must be non-negative, got {n}")
         self._n = int(n)
+        _check_allocation(self._n, _initial_bytes(self._n, 2), "an ArrayDiGraph")
         self._cap = _MIN_CAPACITY
         self._out = np.full((self._n, self._cap), -1, dtype=np.int64)
         self._out_deg = np.zeros(self._n, dtype=np.int64)
@@ -440,8 +497,7 @@ class ArrayDiGraph:
         self._bits = bitset.zeros(self._n, self._n)
         self._num_edges = 0
         if edges is not None:
-            for u, v in edges:
-                self.add_edge(u, v)
+            self.add_edges_batch(list(edges))
 
     # ------------------------------------------------------------------ #
     # basic accessors
@@ -578,11 +634,8 @@ class ArrayDiGraph:
     def _ensure_capacity(self, needed: int) -> None:
         if needed <= self._cap:
             return
-        new_cap = _round_up_pow2(needed)
-        grown = np.full((self._n, new_cap), -1, dtype=np.int64)
-        grown[:, : self._cap] = self._out
-        self._out = grown
-        self._cap = new_cap
+        self._out = _grown_block(self._n, self._out, self._cap, needed)
+        self._cap = self._out.shape[1]
 
     # ------------------------------------------------------------------ #
     # sampling
@@ -665,8 +718,14 @@ class ArrayDiGraph:
         return g
 
     def to_dynamic(self) -> DynamicDiGraph:
-        """Convert back to a list-backed :class:`DynamicDiGraph` (canonical order)."""
-        return DynamicDiGraph(self._n, self.edge_list())
+        """The reference-oracle twin: a :class:`DynamicDiGraph` with identical rows."""
+        g = DynamicDiGraph(self._n)
+        g._out = [self._out[u, :d].tolist() for u, d in enumerate(self._out_deg.tolist())]
+        g._edge_set = set(self.edges())
+        g._out_degrees = self._out_deg.copy()
+        g._in_degrees = self._in_deg.copy()
+        g._num_edges = self._num_edges
+        return g
 
     def to_undirected(self) -> ArrayGraph:
         """Return the undirected graph obtained by forgetting edge direction."""
@@ -691,29 +750,3 @@ class ArrayDiGraph:
     def _check_node(self, u: int) -> None:
         if not (0 <= u < self._n):
             raise IndexError(f"node {u} out of range [0, {self._n})")
-
-
-GraphAny = Union[DynamicGraph, DynamicDiGraph, ArrayGraph, ArrayDiGraph]
-
-
-def backend_name(graph: GraphAny) -> str:
-    """Return ``"array"`` or ``"list"`` for a graph instance."""
-    return "array" if isinstance(graph, (ArrayGraph, ArrayDiGraph)) else "list"
-
-
-def as_backend(graph: GraphAny, backend: str) -> GraphAny:
-    """Convert ``graph`` to the requested backend (no-op when it already matches).
-
-    ``"array"`` conversion preserves per-node neighbour insertion order, so
-    seeded runs are trace-identical across backends; ``"list"`` conversion
-    rebuilds from the canonical edge list.
-    """
-    if backend not in BACKENDS:
-        raise ValueError(f"unknown backend {backend!r}; known: {list(BACKENDS)}")
-    if backend == backend_name(graph):
-        return graph
-    if backend == "array":
-        if graph.directed:
-            return ArrayDiGraph.from_graph(graph)
-        return ArrayGraph.from_graph(graph)
-    return graph.to_dynamic()

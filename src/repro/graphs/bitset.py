@@ -133,12 +133,19 @@ def unpack_bool_matrix(bits: np.ndarray, n_bits: int) -> np.ndarray:
 
 
 def get_bit(bits: np.ndarray, row: int, col: int) -> bool:
-    """Scalar membership test: is bit ``col`` of ``row`` set?"""
+    """Scalar membership test: is bit ``col`` of ``row`` set?
+
+    ``col`` may be a NumPy integer (a neighbour-row entry); it is taken as
+    a Python ``int`` so the shift stays in arbitrary precision instead of
+    forcing a word with its top bit set through ``int64``.
+    """
+    col = int(col)
     return bool((int(bits[row, col >> 6]) >> (col & 63)) & 1)
 
 
 def set_bit(bits: np.ndarray, row: int, col: int) -> None:
-    """Scalar insert: set bit ``col`` of ``row``."""
+    """Scalar insert: set bit ``col`` of ``row`` (NumPy integers accepted)."""
+    col = int(col)
     bits[row, col >> 6] |= np.uint64(1 << (col & 63))
 
 

@@ -8,8 +8,8 @@ can track "missing closure edges" with an O(1)-per-added-edge counter.
 
 All closure/reachability computations run on the word-packed bitset
 kernels of :mod:`repro.graphs.bitset`: adjacency rows are ``uint64``
-bitsets (zero-copy for the array backend, packed once for the list
-backend), all-pairs reachability is Warshall elimination on packed rows,
+bitsets (zero-copy for an array graph, packed once for the list-based
+reference oracle), all-pairs reachability is Warshall elimination on packed rows,
 and single-source reachability is a frontier BFS that ORs whole adjacency
 rows — 64 pairs per machine-word operation instead of one queue pop per
 node.  The original per-node Python BFS survives as
@@ -47,8 +47,8 @@ DiGraphLike = Union[DynamicDiGraph, "ArrayDiGraph"]  # noqa: F821 - doc only
 def adjacency_bits(graph) -> np.ndarray:
     """Packed ``uint64`` adjacency rows of ``graph`` (bit ``v`` of row ``u``).
 
-    Zero-copy when the graph already stores packed membership (the array
-    backend's ``adjacency_bits()``); otherwise packed once from the edge
+    Zero-copy when the graph already stores packed membership (an array
+    graph's ``adjacency_bits()``); otherwise packed once from the edge
     list without materialising an n×n ``bool`` intermediate.  Callers must
     treat the result as read-only — it may alias live graph state.
     """
@@ -174,7 +174,7 @@ class IncrementalClosure:
 
     @classmethod
     def from_graph(cls, graph: DiGraphLike) -> "IncrementalClosure":
-        """Seed the closure from a graph (packed zero-copy on the array backend)."""
+        """Seed the closure from a graph (packed zero-copy on an array graph)."""
         return cls(adjacency_bits(graph), graph.n)
 
     def add_edges(self, us: np.ndarray, vs: np.ndarray) -> int:

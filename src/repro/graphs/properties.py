@@ -63,9 +63,9 @@ def bfs_distances(graph: GraphLike, source: int) -> np.ndarray:
     """Return the array of BFS distances from ``source`` (unreachable = -1).
 
     For directed graphs the distances follow out-edges only.  Graphs that
-    store packed membership rows (the array backend) take the word-parallel
+    store packed membership rows (the array graphs) take the word-parallel
     level-synchronous path of :func:`repro.graphs.bitset.bfs_distances_bits`;
-    list-backed graphs keep the per-node queue BFS.
+    the list-based reference oracle keeps the per-node queue BFS.
     """
     native_bits = getattr(graph, "adjacency_bits", None)
     if native_bits is not None:

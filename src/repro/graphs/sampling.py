@@ -1,14 +1,14 @@
-"""Shared bulk-sampling primitives used by every graph backend.
+"""Shared bulk-sampling primitives used by every graph class.
 
-Cross-backend trace equivalence rests on one invariant: for the same seed,
-the list backend (:mod:`repro.graphs.adjacency`) and the array backend
-(:mod:`repro.graphs.array_adjacency`) must consume the *same* random
-values and map them to the *same* neighbour choices.  Both backends
-therefore draw one uniform float per sampled node (``rng.random(m)`` for a
-batch of ``m`` nodes) and turn it into a neighbour index with the exact
-floating-point computation implemented here.  Only the final gather —
-ragged Python lists versus one fancy-indexed 2-D array — differs between
-backends, and gathering is deterministic.
+Trace equivalence between the array substrate
+(:mod:`repro.graphs.array_adjacency`) and the reference oracle
+(:mod:`repro.graphs.adjacency`) rests on one invariant: for the same seed,
+both must consume the *same* random values and map them to the *same*
+neighbour choices.  Both therefore draw one uniform float per sampled node
+(``rng.random(m)`` for a batch of ``m`` nodes) and turn it into a
+neighbour index with the exact floating-point computation implemented
+here.  Only the final gather — one fancy-indexed 2-D array versus ragged
+Python lists — differs between them, and gathering is deterministic.
 
 The helpers use ``-1`` as the sentinel for "no sample" (a node with no
 neighbours, or a ``-1`` node propagated from an earlier sampling stage),
@@ -28,7 +28,7 @@ def uniform_indices(u: np.ndarray, counts: np.ndarray) -> np.ndarray:
     Returns an ``int64`` array with ``-1`` wherever ``counts <= 0``.  The
     result is clipped to ``counts - 1`` so the (measure-zero, but real in
     floating point) case ``u·k`` rounding up to ``k`` cannot produce an
-    out-of-range index.  Every backend must use this exact computation so
+    out-of-range index.  Every graph class must use this exact computation so
     identical draws yield identical choices.
     """
     counts = np.asarray(counts, dtype=np.int64)

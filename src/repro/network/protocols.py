@@ -37,8 +37,8 @@ protocol draws through the same bulk convention as the vectorized round
 engine (one ``rng.random(n)`` block per sampling stage, indices mapped by
 :func:`repro.graphs.sampling.uniform_indices`), so it stays draw-for-draw
 identical to :class:`repro.core.push.PushDiscovery` when given the same
-seed and starting graph — on either graph backend, and under either
-simulation engine.
+seed and starting graph — on the array graph or the reference oracle, and
+under either simulation engine.
 """
 
 from __future__ import annotations

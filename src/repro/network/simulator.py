@@ -74,9 +74,10 @@ class NetworkSimulator:
         rng: Union[np.random.Generator, int, None] = None,
         failures: Optional[FailureModel] = None,
     ) -> None:
-        # Capability check (not an isinstance against one backend class):
-        # any undirected neighbour-protocol graph — list- or array-backed —
-        # is a valid topology; directed graphs still raise TypeError.
+        # Capability check (not an isinstance against one graph class):
+        # any undirected neighbour-protocol graph — the array substrate or
+        # the list-based oracle — is a valid topology; directed graphs
+        # still raise TypeError.
         require_undirected(graph, "NetworkSimulator")
         self.n = graph.n
         self.nodes: List[NetworkNode] = [

@@ -10,16 +10,15 @@ can feed it broken fixture snapshots without monkeypatching modules.
 
 Invariants enforced:
 
-1. ``ARRAY_BACKEND_PROCESSES`` covers exactly the process registry.
-2. Every registered process class is shardable unless listed in the
+1. Every registered process class is shardable unless listed in the
    documented ``UNSHARDABLE_PROCESSES`` exemption set.
-3. ``UNSHARDABLE_PROCESSES`` names only registered processes (no stale
+2. ``UNSHARDABLE_PROCESSES`` names only registered processes (no stale
    exemptions).
-4. Every shard kernel kind is declared in ``SHARD_KINDS``.
-5. The checkpoint reverse lookup ``(ctor, needs_directed) -> name`` is
+3. Every shard kernel kind is declared in ``SHARD_KINDS``.
+4. The checkpoint reverse lookup ``(ctor, needs_directed) -> name`` is
    unambiguous for every registry entry.
-6. The CLI ``choices=``/defaults for ``--process``, ``--family``,
-   ``--protocol`` and ``--backend`` agree with the registries.
+5. The CLI ``choices=``/defaults for ``--process``, ``--family`` and
+   ``--protocol`` agree with the registries.
 """
 
 from __future__ import annotations
@@ -44,8 +43,6 @@ class RegistrySnapshot:
 
     #: process name -> (constructor qualname, needs_directed)
     process_registry: Mapping[str, Tuple[str, bool]]
-    #: names accepted by the array backend
-    array_backend: Tuple[str, ...]
     #: shardable constructor qualname -> shard kernel kind
     shardable: Mapping[str, str]
     #: registry names exempt from the sharding requirement (documented)
@@ -85,7 +82,6 @@ class RegistrySnapshot:
             process_registry={
                 str(k): (str(v[0]), bool(v[1])) for k, v in raw_registry.items()
             },
-            array_backend=tuple(str(x) for x in _seq(payload["array_backend"])),
             shardable={str(k): str(v) for k, v in raw_shardable.items()},
             unshardable=tuple(str(x) for x in _seq(payload["unshardable"])),
             shard_kinds=tuple(str(x) for x in _seq(payload["shard_kinds"])),
@@ -107,7 +103,7 @@ def collect_snapshot() -> RegistrySnapshot:
     from repro.graphs.directed_generators import DIRECTED_FAMILY_REGISTRY
     from repro.graphs.generators import FAMILY_REGISTRY
     from repro.network.protocols import protocol_names
-    from repro.simulation.engine import ARRAY_BACKEND_PROCESSES, PROCESS_REGISTRY
+    from repro.simulation.engine import PROCESS_REGISTRY
     from repro.simulation.sharding import (
         SHARD_KINDS,
         SHARDABLE_PROCESSES,
@@ -138,7 +134,6 @@ def collect_snapshot() -> RegistrySnapshot:
             name: (ctor.__qualname__, bool(needs_directed))
             for name, (ctor, needs_directed) in PROCESS_REGISTRY.items()
         },
-        array_backend=tuple(sorted(ARRAY_BACKEND_PROCESSES)),
         shardable={
             ctor.__qualname__: kind for ctor, kind in SHARDABLE_PROCESSES.items()
         },
@@ -171,26 +166,13 @@ def cross_check(snapshot: RegistrySnapshot) -> List[Tuple[str, str]]:
     """Pure consistency check.  Returns ``(anchor, message)`` pairs.
 
     ``anchor`` names the registry whose definition site the finding should
-    point at: ``process_registry``, ``array_backend``, ``shardable``,
-    ``unshardable``, ``shard_kinds``, ``checkpoint`` or ``cli``.
+    point at: ``process_registry``, ``shardable``, ``unshardable``,
+    ``shard_kinds``, ``checkpoint`` or ``cli``.
     """
     problems: List[Tuple[str, str]] = []
     registry_names = set(snapshot.process_registry)
 
-    # 1. array backend covers the registry exactly
-    array = set(snapshot.array_backend)
-    if array != registry_names:
-        missing = sorted(registry_names - array)
-        extra = sorted(array - registry_names)
-        problems.append(
-            (
-                "array_backend",
-                "ARRAY_BACKEND_PROCESSES out of sync with PROCESS_REGISTRY "
-                f"(missing={missing}, stale={extra})",
-            )
-        )
-
-    # 2. every registered process is shardable or a documented exemption
+    # 1. every registered process is shardable or a documented exemption
     unshardable = set(snapshot.unshardable)
     shardable_ctors = set(snapshot.shardable)
     for name, (ctor, _directed) in sorted(snapshot.process_registry.items()):
@@ -206,7 +188,7 @@ def cross_check(snapshot: RegistrySnapshot) -> List[Tuple[str, str]]:
                 )
             )
 
-    # 3. no stale exemptions
+    # 2. no stale exemptions
     for name in sorted(unshardable - registry_names):
         problems.append(
             (
@@ -215,7 +197,7 @@ def cross_check(snapshot: RegistrySnapshot) -> List[Tuple[str, str]]:
             )
         )
 
-    # 4. every shard kernel kind is declared
+    # 3. every shard kernel kind is declared
     declared_kinds = set(snapshot.shard_kinds)
     for ctor, kind in sorted(snapshot.shardable.items()):
         if kind not in declared_kinds:
@@ -226,7 +208,7 @@ def cross_check(snapshot: RegistrySnapshot) -> List[Tuple[str, str]]:
                 )
             )
 
-    # 5. checkpoint reverse lookup must be unambiguous
+    # 4. checkpoint reverse lookup must be unambiguous
     by_key: Dict[Tuple[str, bool], List[str]] = {}
     for name, key in snapshot.process_registry.items():
         by_key.setdefault(key, []).append(name)
@@ -241,7 +223,7 @@ def cross_check(snapshot: RegistrySnapshot) -> List[Tuple[str, str]]:
                 )
             )
 
-    # 6. CLI choices and defaults agree with the registries
+    # 5. CLI choices and defaults agree with the registries
     expected_sets: Dict[str, set] = {
         "processes": registry_names,
         "families": set(snapshot.families),
@@ -283,27 +265,12 @@ def cross_check(snapshot: RegistrySnapshot) -> List[Tuple[str, str]]:
                     f"{registry_key} registry",
                 )
             )
-    # --backend must offer exactly the two graph substrates
-    for sub in ("run", "scaling", "group", "directed"):
-        opts = snapshot.cli.get(sub)
-        if opts is None or "backend" not in opts:
-            continue
-        choices, _default = opts["backend"]
-        if choices is not None and set(choices) != {"list", "array"}:
-            problems.append(
-                (
-                    "cli",
-                    f"CLI {sub!r} --backend choices {sorted(choices)} != "
-                    "['array', 'list']",
-                )
-            )
     return problems
 
 
 #: anchor key -> (module import path, symbol whose definition line we point at)
 _ANCHORS: Dict[str, Tuple[str, str]] = {
     "process_registry": ("repro.simulation.engine", "PROCESS_REGISTRY"),
-    "array_backend": ("repro.simulation.engine", "ARRAY_BACKEND_PROCESSES"),
     "shardable": ("repro.simulation.sharding", "SHARDABLE_PROCESSES"),
     "unshardable": ("repro.simulation.sharding", "UNSHARDABLE_PROCESSES"),
     "shard_kinds": ("repro.simulation.sharding", "SHARD_KINDS"),

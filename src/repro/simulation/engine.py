@@ -24,11 +24,10 @@ from repro.core.pull import PullDiscovery
 from repro.core.push import PushDiscovery
 from repro.core.variants import FaultyPullDiscovery, FaultyPushDiscovery
 from repro.graphs.adjacency import DynamicDiGraph, DynamicGraph
-from repro.graphs.array_adjacency import ArrayDiGraph, ArrayGraph, as_backend, backend_name
+from repro.graphs.array_adjacency import ArrayDiGraph, ArrayGraph
 
 __all__ = [
     "PROCESS_REGISTRY",
-    "ARRAY_BACKEND_PROCESSES",
     "make_process",
     "run_process",
     "measure_convergence_rounds",
@@ -50,13 +49,6 @@ PROCESS_REGISTRY: Dict[str, Tuple[Callable[..., DiscoveryProcess], bool]] = {
     "faulty_pull": (FaultyPullDiscovery, False),
 }
 
-#: processes that accept the NumPy array backend.  Since the baselines
-#: were ported onto the packed bitset substrate (payloads as membership
-#: rows, deliveries as row unions) every registered process qualifies;
-#: the set is kept as the explicit opt-in list for future processes.
-ARRAY_BACKEND_PROCESSES = frozenset(PROCESS_REGISTRY)
-
-
 def process_names() -> Sequence[str]:
     """All registered process names."""
     return sorted(PROCESS_REGISTRY)
@@ -67,24 +59,17 @@ def make_process(
     graph: GraphLike,
     rng: Union[np.random.Generator, int, None] = None,
     semantics: UpdateSemantics = UpdateSemantics.SYNCHRONOUS,
-    backend: Optional[str] = None,
     shards: int = 1,
     shard_seed: Union[int, np.random.SeedSequence, None] = None,
     shard_parallel: Optional[bool] = None,
     **kwargs,
 ) -> DiscoveryProcess:
-    """Build a process by registry name over ``graph``.
-
-    ``backend`` selects the graph substrate: ``"list"`` (default behaviour)
-    or ``"array"`` (the vectorized fast path — supported by every
-    registered process, baselines included; see
-    :data:`ARRAY_BACKEND_PROCESSES`).  The graph is converted as needed.
+    """Build a process by registry name over ``graph`` (used as passed).
 
     ``shards > 1`` wraps the process in
     :class:`repro.simulation.sharding.ShardedProcess`, which runs each
     round's propose phase over contiguous row shards and OR-merges the
-    packed deltas (requires ``backend="array"``; every registered process
-    is shardable — see
+    packed deltas (every registered process is shardable — see
     :data:`repro.simulation.sharding.SHARDABLE_PROCESSES`, which covers
     the gossip processes, the directed two-hop walk and the payload
     baselines).  ``shard_seed`` feeds the per-round shard
@@ -110,20 +95,8 @@ def make_process(
             raise TypeError(f"process {name!r} requires an undirected graph")
     if shards < 1:
         raise ValueError(f"shard count must be >= 1, got {shards}")
-    if backend is not None:
-        if backend == "array" and name not in ARRAY_BACKEND_PROCESSES:
-            raise ValueError(
-                f"process {name!r} does not support the array backend; "
-                f"array-capable: {sorted(ARRAY_BACKEND_PROCESSES)}"
-            )
-        graph = as_backend(graph, backend)
     process = ctor(graph, rng=rng, semantics=semantics, **kwargs)
     if shards > 1:
-        if backend_name(process.graph) != "array":
-            raise ValueError(
-                f"shards={shards} requires backend='array' (the sharded engine "
-                "partitions the packed membership rows)"
-            )
         # Imported here: sharding sits one layer above the engine registry.
         from repro.simulation.sharding import ShardedProcess
 
@@ -150,7 +123,6 @@ def measure_convergence_rounds(
     max_rounds: Optional[int] = None,
     semantics: UpdateSemantics = UpdateSemantics.SYNCHRONOUS,
     copy_graph: bool = True,
-    backend: Optional[str] = None,
     shards: int = 1,
     shard_seed: Union[int, np.random.SeedSequence, None] = None,
     shard_parallel: Optional[bool] = None,
@@ -162,9 +134,7 @@ def measure_convergence_rounds(
 
     This is the workhorse of every scaling experiment: one call, one
     :class:`RunResult` whose ``rounds`` field is the convergence time.
-    ``backend="array"`` routes the run through the vectorized fast path;
-    the seeded result is identical to the list backend's.  ``shards > 1``
-    additionally routes each round through the sharded engine (see
+    ``shards > 1`` routes each round through the sharded engine (see
     :func:`make_process`).
 
     ``checkpoint_every=k`` with ``checkpoint_dir`` writes an exact
@@ -178,7 +148,6 @@ def measure_convergence_rounds(
         work_graph,
         rng=rng,
         semantics=semantics,
-        backend=backend,
         shards=shards,
         shard_seed=shard_seed,
         shard_parallel=shard_parallel,

@@ -14,13 +14,13 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Unio
 
 import numpy as np
 
-from repro.graphs.adjacency import DynamicDiGraph, DynamicGraph
+from repro.graphs.array_adjacency import ArrayDiGraph, ArrayGraph
 from repro.graphs.directed_generators import make_directed_family
 from repro.graphs.generators import make_family
 
 __all__ = ["ExperimentSpec", "SweepSpec"]
 
-GraphFactory = Callable[[int, Optional[np.random.Generator]], Union[DynamicGraph, DynamicDiGraph]]
+GraphFactory = Callable[[int, Optional[np.random.Generator]], Union[ArrayGraph, ArrayDiGraph]]
 
 
 @dataclass(frozen=True)
@@ -48,16 +48,10 @@ class ExperimentSpec:
         (e.g. ``failure_prob`` for the faulty variants).
     max_rounds:
         Optional hard cap per trial (defaults to the process's own cap).
-    backend:
-        Graph backend for the trials: ``"list"`` (default) or ``"array"``
-        (the vectorized fast path; identical seeded results).  Every
-        registered process supports both — the baselines included, since
-        their payload rounds run on the packed bitset substrate.
     shards:
         Row-shard count for the round engine (default 1 = unsharded).
-        ``shards > 1`` requires ``backend="array"``; every registered
-        process is shardable (gossip, the directed walk and the payload
-        baselines alike).  Each trial's shard streams are spawned from the
+        Every registered process is shardable (gossip, the directed walk
+        and the payload baselines alike).  Each trial's shard streams are spawned from the
         trial's own ``SeedSequence`` (see :mod:`repro.simulation.sharding`).
     shard_parallel:
         ``True``/``False`` force the process-pool / in-process sharded
@@ -81,7 +75,6 @@ class ExperimentSpec:
     graph_factory: Optional[GraphFactory] = field(default=None, compare=False)
     process_kwargs: Dict[str, Any] = field(default_factory=dict, compare=False)
     max_rounds: Optional[int] = None
-    backend: str = "list"
     shards: int = 1
     shard_parallel: Optional[bool] = field(default=None, compare=False)
     checkpoint_every: int = 0
@@ -90,7 +83,7 @@ class ExperimentSpec:
 
     def build_graph(
         self, rng: Optional[np.random.Generator] = None
-    ) -> Union[DynamicGraph, DynamicDiGraph]:
+    ) -> Union[ArrayGraph, ArrayDiGraph]:
         """Instantiate the starting graph for one trial."""
         if self.graph_factory is not None:
             return self.graph_factory(self.n, rng)
@@ -101,9 +94,8 @@ class ExperimentSpec:
     def describe(self) -> str:
         """Short human-readable description for logs and tables."""
         tag = f" [{self.label}]" if self.label else ""
-        fast = f" backend={self.backend}" if self.backend != "list" else ""
         sharded = f" shards={self.shards}" if self.shards != 1 else ""
-        return f"{self.process} on {self.family}(n={self.n}) x{self.trials}{fast}{sharded}{tag}"
+        return f"{self.process} on {self.family}(n={self.n}) x{self.trials}{sharded}{tag}"
 
 
 @dataclass(frozen=True)
@@ -117,7 +109,6 @@ class SweepSpec:
     directed: bool = False
     process_kwargs: Dict[str, Any] = field(default_factory=dict, compare=False)
     max_rounds: Optional[int] = None
-    backend: str = "list"
     shards: int = 1
     label: str = ""
 
@@ -136,7 +127,6 @@ class SweepSpec:
                             directed=self.directed,
                             process_kwargs=dict(self.process_kwargs),
                             max_rounds=self.max_rounds,
-                            backend=self.backend,
                             shards=self.shards,
                             label=self.label,
                         )

@@ -129,7 +129,6 @@ def _run_single_trial(args) -> TrialResult:
             rng=rng,
             max_rounds=spec.max_rounds,
             copy_graph=False,
-            backend=spec.backend,
             shards=spec.shards,
             shard_seed=shard_seed,
             shard_parallel=spec.shard_parallel,

@@ -1,10 +1,10 @@
 """Sharded round execution over row-partitioned packed membership rows.
 
-The array backend executes a whole round as bulk NumPy work; this module
-splits that work across **contiguous node-row shards** so large-``n``
-sweeps can use several cores.  The design is the row-partitioned fan-out
-of the PRAM/MPC round-compression literature, specialised to the packed
-bitset substrate:
+The array graph substrate executes a whole round as bulk NumPy work; this
+module splits that work across **contiguous node-row shards** so
+large-``n`` sweeps can use several cores.  The design is the
+row-partitioned fan-out of the PRAM/MPC round-compression literature,
+specialised to the packed bitset substrate:
 
 1. **Partition.**  :class:`ShardPlan` cuts the node rows ``0 .. n-1`` into
    ``k`` contiguous, near-equal ranges.  A shard owns the *proposals* (or,
@@ -53,7 +53,7 @@ Per-shard RNG convention (the trace contract)
 ---------------------------------------------
 ``shards=1`` never enters this module's round path: it delegates straight
 to the wrapped process, so it is draw-for-draw identical to the unsharded
-array backend (the golden traces pass unmodified).
+process (the golden traces pass unmodified).
 
 For ``shards >= 2`` every round derives one child stream from the trial's
 :class:`numpy.random.SeedSequence` — ``SeedSequence(entropy,
@@ -98,7 +98,6 @@ from repro.core.directed import DirectedTwoHopWalk
 from repro.core.pull import PullDiscovery
 from repro.core.push import PushDiscovery
 from repro.graphs import bitset
-from repro.graphs.array_adjacency import backend_name
 from repro.graphs.sampling import masked_counts, uniform_indices
 
 __all__ = [
@@ -467,7 +466,7 @@ class ShardedProcess:
         Any registered process — push, pull, the directed two-hop walk,
         Name Dropper, Random Pointer Jump (undirected or directed) or
         neighbourhood flooding (see :data:`SHARDABLE_PROCESSES`) — on the
-        **array backend** with synchronous semantics and default (full)
+        **array graph** with synchronous semantics and default (full)
         activation.  The wrapper mutates the process's graph and counters,
         so the wrapped instance stays the single source of truth for
         convergence and metrics (including the directed processes'
@@ -476,7 +475,7 @@ class ShardedProcess:
     shards:
         Requested shard count (clamped to ``n``).  ``shards=1`` delegates
         every ``step()`` straight to the process — draw-for-draw identical
-        to the unsharded array backend.
+        to the unsharded process.
     seed:
         Entropy for the per-round shard streams: an ``int``, a
         :class:`numpy.random.SeedSequence` (e.g. the trial's), or ``None``
@@ -516,8 +515,11 @@ class ShardedProcess:
                 f"{type(process).__name__} has no sharded round kernel; "
                 f"shardable processes: {supported}"
             )
-        if backend_name(process.graph) != "array":
-            raise ValueError("sharded execution requires the array graph backend")
+        if packed_rows(process.graph) is None:
+            raise ValueError(
+                "sharded execution partitions packed rows: it needs an ArrayGraph or "
+                f"ArrayDiGraph, not the {type(process.graph).__name__} reference oracle"
+            )
         if process.semantics is not UpdateSemantics.SYNCHRONOUS:
             raise ValueError("sharded execution requires synchronous semantics")
         if "propose" in process.__dict__ or "participating_nodes" in process.__dict__:
@@ -580,7 +582,7 @@ class ShardedProcess:
     def _round_state(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Shared round-start arrays: padded (out-)neighbour rows, degrees, bits."""
         state = packed_rows(self.process.graph)
-        assert state is not None  # guaranteed by the array-backend gate
+        assert state is not None  # guaranteed by the packed-rows gate
         return state
 
     def _run_shards(self, u: Optional[np.ndarray]) -> List:
@@ -815,11 +817,6 @@ class ShardedProcess:
     def rng(self) -> np.random.Generator:
         """The wrapped process's generator (unused by multi-shard rounds)."""
         return self.process.rng
-
-    @property
-    def backend(self) -> str:
-        """The wrapped process's graph backend name (always ``"array"``)."""
-        return self.process.backend
 
     @property
     def semantics(self) -> UpdateSemantics:

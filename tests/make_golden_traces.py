@@ -5,9 +5,18 @@ convention (which invalidates the recorded traces)::
 
     PYTHONPATH=src python tests/make_golden_traces.py
 
-The traces pin the exact per-round added edges of the reference (list)
-backend; ``tests/test_golden_traces.py`` asserts that both backends still
-reproduce them bit-for-bit.  Never regenerate to paper over an accidental
+``--families`` rewrites only ``golden_families.json``: one digest of the
+degree vector and the neighbour rows (in insertion order) per registered
+graph family, size and seed.  Neighbour-row order decides which neighbour
+a seeded draw picks, so these digests pin every generator's edge
+sequence independently of the process traces::
+
+    PYTHONPATH=src python tests/make_golden_traces.py --families
+
+The traces pin the exact per-round added edges of the per-node reference
+paths (the run on the list-based ``DynamicGraph`` oracle);
+``tests/test_golden_traces.py`` asserts that the array graphs and the
+oracle still reproduce them bit-for-bit.  Never regenerate to paper over an accidental
 drift — the whole point is to catch one.
 
 Two trace flavours are recorded:
@@ -23,19 +32,27 @@ Two trace flavours are recorded:
 
 from __future__ import annotations
 
+import hashlib
 import json
+import sys
 from pathlib import Path
+
+import numpy as np
 
 from repro.baselines.flooding import NeighborhoodFlooding
 from repro.baselines.name_dropper import NameDropper
 from repro.baselines.pointer_jump import RandomPointerJump
 from repro.core.pull import PullDiscovery
 from repro.core.push import PushDiscovery
+from repro.graphs import directed_generators as dgen
 from repro.graphs import generators as gen
 
 DATA_DIR = Path(__file__).parent / "data"
 GOLDEN_SEED = 20120614
 GOLDEN_N = 64
+FAMILIES_FILE = "golden_families.json"
+FAMILY_SIZES = (16, 64)
+FAMILY_SEEDS = (0, 1, 2)
 
 #: filename -> (process class, registry name, canonical-edge-order flag)
 GOLDEN_CASES = {
@@ -53,8 +70,8 @@ def canonical_round(edges) -> list:
 
 
 def build_trace(process_cls, process_name: str, canonical: bool) -> dict:
-    """Run the reference backend to convergence and serialise its trace."""
-    graph = gen.cycle_graph(GOLDEN_N)
+    """Run the reference oracle to convergence and serialise its trace."""
+    graph = gen.cycle_graph(GOLDEN_N).to_dynamic()
     process = process_cls(graph, rng=GOLDEN_SEED)
     result = process.run_to_convergence(record_history=True)
     assert result.converged, "golden runs must converge"
@@ -82,7 +99,44 @@ def build_trace(process_cls, process_name: str, canonical: bool) -> dict:
     }
 
 
+def family_digest(graph) -> str:
+    """SHA-256 of the (out-)degree vector and every neighbour row in insertion order."""
+    directed = bool(getattr(graph, "directed", False))
+    deg = graph.out_degrees() if directed else graph.degrees()
+    row = graph.out_neighbors if directed else graph.neighbors
+    digest = hashlib.sha256(np.asarray(deg, dtype="<i8").tobytes())
+    for u in range(graph.n):
+        digest.update(np.asarray(row(u), dtype="<i8").tobytes())
+    return digest.hexdigest()
+
+
+def family_digests() -> dict:
+    """``{"<registry>/<family>/n<n>/seed<s>": digest}`` over both family registries."""
+    registries = {
+        "undirected": gen.FAMILY_REGISTRY,
+        "directed": dgen.DIRECTED_FAMILY_REGISTRY,
+    }
+    digests = {}
+    for kind, registry in registries.items():
+        for name in sorted(registry):
+            for n in FAMILY_SIZES:
+                for seed in FAMILY_SEEDS:
+                    graph = registry[name](n, np.random.default_rng(seed))
+                    digests[f"{kind}/{name}/n{n}/seed{seed}"] = family_digest(graph)
+    return digests
+
+
+def write_family_digests() -> None:
+    """Rewrite ``golden_families.json`` only (the trace files are left alone)."""
+    path = DATA_DIR / FAMILIES_FILE
+    path.write_text(json.dumps(family_digests(), indent=1, sort_keys=True) + "\n")
+    print(f"wrote {path}")
+
+
 def main() -> None:
+    if "--families" in sys.argv[1:]:
+        write_family_digests()
+        return
     DATA_DIR.mkdir(exist_ok=True)
     for filename, (process_cls, name, canonical) in GOLDEN_CASES.items():
         trace = build_trace(process_cls, name, canonical)

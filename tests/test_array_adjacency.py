@@ -1,4 +1,4 @@
-"""Property-style randomized tests for the array graph backend.
+"""Property-style randomized tests for the array graph substrate.
 
 :class:`DynamicGraph` / :class:`DynamicDiGraph` act as the oracle: every
 randomized operation sequence is applied to both representations and all
@@ -14,12 +14,8 @@ import numpy as np
 import pytest
 
 from repro.graphs.adjacency import DynamicDiGraph, DynamicGraph
-from repro.graphs.array_adjacency import (
-    ArrayDiGraph,
-    ArrayGraph,
-    as_backend,
-    backend_name,
-)
+from repro.graphs.array_adjacency import ArrayDiGraph, ArrayGraph, GraphMemoryError
+from repro.graphs import directed_generators as dgen
 from repro.graphs import generators as gen
 
 
@@ -94,7 +90,7 @@ class TestArrayGraphOracle:
         assert g == oracle
 
     def test_random_neighbor_uniform_over_fixed_seed(self):
-        g = as_backend(gen.star_graph(9), "array")  # hub 0, leaves 1..8
+        g = gen.star_graph(9)  # hub 0, leaves 1..8
         rng = np.random.default_rng(42)
         counts = np.zeros(9, dtype=int)
         draws = 8000
@@ -105,10 +101,10 @@ class TestArrayGraphOracle:
         assert np.all(np.abs(counts[1:] - expected) < 5 * np.sqrt(expected))
 
     def test_bulk_random_neighbors_matches_list_backend_stream(self):
-        base = gen.erdos_renyi_graph(30, 0.2, rng=np.random.default_rng(8))
-        fast = as_backend(base, "array")
+        fast = gen.erdos_renyi_graph(30, 0.2, rng=np.random.default_rng(8))
+        oracle = fast.to_dynamic()
         nodes = np.arange(30)
-        draws_list = base.random_neighbors(nodes, np.random.default_rng(77))
+        draws_list = oracle.random_neighbors(nodes, np.random.default_rng(77))
         draws_array = fast.random_neighbors(nodes, np.random.default_rng(77))
         assert np.array_equal(draws_list, draws_array)
 
@@ -120,20 +116,56 @@ class TestArrayGraphOracle:
         assert out[1] == -1 and out[2] == -1
 
     def test_copy_is_independent(self):
-        g = as_backend(gen.cycle_graph(10), "array")
+        g = gen.cycle_graph(10)
         h = g.copy()
         h.add_edge(0, 5)
         assert not g.has_edge(0, 5)
         assert h.has_edge(0, 5)
 
     def test_roundtrip_conversions(self):
-        base = gen.erdos_renyi_graph(20, 0.3, rng=np.random.default_rng(4))
-        fast = as_backend(base, "array")
-        assert backend_name(fast) == "array"
-        back = as_backend(fast, "list")
-        assert backend_name(back) == "list"
-        assert back == base
-        assert as_backend(fast, "array") is fast  # no-op when already matching
+        fast = gen.erdos_renyi_graph(20, 0.3, rng=np.random.default_rng(4))
+        oracle = fast.to_dynamic()
+        assert isinstance(oracle, DynamicGraph)
+        back = ArrayGraph.from_graph(oracle)
+        assert oracle == fast and back == fast
+        for u in range(fast.n):
+            # Both directions keep every row's insertion order.
+            assert list(oracle.neighbors(u)) == fast.neighbors(u).tolist()
+            assert back.neighbors(u).tolist() == fast.neighbors(u).tolist()
+        added = oracle.add_edge(0, 19)
+        assert fast.has_edge(0, 19) != added  # the twin is an independent copy
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_edges_argument_matches_sequential_inserts(self, seed):
+        rng = np.random.default_rng(400 + seed)
+        edges = random_edge_sequence(15, 60, rng)
+        oracle = DynamicGraph(15, edges)
+        array = ArrayGraph(15, iter(edges))
+        assert array == oracle
+        for u in range(15):
+            assert array.neighbors(u).tolist() == list(oracle.neighbors(u))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_subgraph_matches_oracle(self, seed):
+        rng = np.random.default_rng(500 + seed)
+        host = gen.erdos_renyi_graph(25, 0.3, rng=rng)
+        members = rng.permutation(25)[:12].tolist()
+        sub, mapping = host.subgraph(members)
+        ref, ref_mapping = host.to_dynamic().subgraph(members)
+        assert isinstance(sub, ArrayGraph)
+        assert mapping == ref_mapping
+        assert sub == ref
+        for u in range(len(members)):
+            assert sub.neighbors(u).tolist() == list(ref.neighbors(u))
+
+    def test_subgraph_rejects_bad_selections(self):
+        g = gen.cycle_graph(6)
+        with pytest.raises(ValueError, match="duplicate"):
+            g.subgraph([0, 1, 1])
+        with pytest.raises(IndexError):
+            g.subgraph([0, 6])
+        with pytest.raises(IndexError):
+            g.subgraph([-1, 2])
 
     def test_out_of_range_nodes_rejected(self):
         g = ArrayGraph(4)
@@ -144,9 +176,34 @@ class TestArrayGraphOracle:
         with pytest.raises(ValueError):
             g.random_neighbor(0, np.random.default_rng(0))  # isolated
 
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            as_backend(DynamicGraph(3), "gpu")
+
+
+class TestGraphMemoryGuard:
+    """Allocations past physical RAM fail loudly instead of ending in an OOM kill."""
+
+    @pytest.mark.parametrize("cls", [ArrayGraph, ArrayDiGraph])
+    def test_construction_beyond_ram_raises(self, cls):
+        # The membership bitset alone is n²/8 = 128 GiB.
+        with pytest.raises(GraphMemoryError, match=r"n=1048576") as info:
+            cls(2**20)
+        assert isinstance(info.value, MemoryError)
+        assert "bytes" in str(info.value) and "physical RAM" in str(info.value)
+
+    @pytest.mark.parametrize("cls", [ArrayGraph, ArrayDiGraph])
+    def test_growth_beyond_ram_raises(self, cls):
+        g = cls(1024)
+        with pytest.raises(GraphMemoryError, match=r"n=1024"):
+            g._ensure_capacity(10**9)
+        assert g.capacity == 4  # the failed growth left the graph untouched
+
+    def test_non_growing_path_never_checks(self, monkeypatch):
+        from repro.graphs import array_adjacency
+
+        g = ArrayGraph(8)
+        monkeypatch.setattr(array_adjacency, "_physical_memory", lambda: 0)
+        g._ensure_capacity(g.capacity)  # no allocation, so no check
+        with pytest.raises(GraphMemoryError):
+            g._ensure_capacity(g.capacity + 1)
 
 
 class TestArrayDiGraphOracle:
@@ -179,20 +236,16 @@ class TestArrayDiGraphOracle:
         assert array == oracle
 
     def test_bulk_out_sampling_matches_list_backend_stream(self):
-        from repro.graphs import directed_generators as dgen
-
-        base = dgen.random_strongly_connected_digraph(20, rng=np.random.default_rng(6))
-        fast = as_backend(base, "array")
+        fast = dgen.random_strongly_connected_digraph(20, rng=np.random.default_rng(6))
+        base = fast.to_dynamic()
         nodes = np.arange(20)
         a = base.random_out_neighbors(nodes, np.random.default_rng(13))
         b = fast.random_out_neighbors(nodes, np.random.default_rng(13))
         assert np.array_equal(a, b)
 
     def test_out_neighbors_at_gather_parity(self):
-        from repro.graphs import directed_generators as dgen
-
-        base = dgen.random_strongly_connected_digraph(15, rng=np.random.default_rng(2))
-        fast = as_backend(base, "array")
+        fast = dgen.random_strongly_connected_digraph(15, rng=np.random.default_rng(2))
+        base = fast.to_dynamic()
         rng = np.random.default_rng(21)
         nodes = rng.integers(15, size=30)
         idx = np.where(

@@ -1,10 +1,12 @@
-"""Cross-backend equivalence: list and array backends produce identical seeded traces.
+"""Oracle equivalence: the array graphs reproduce the reference oracle's seeded traces.
 
-The vectorized array backend is only trustworthy if it is *bit-identical*
-to the reference list backend: same RNG stream consumption, same neighbour
-choices, same per-round added edges, same totals.  These tests run push,
-pull, and the directed two-hop walk to convergence on seeded graph
-families under both backends and compare everything the trace exposes.
+The vectorized kernels on :class:`ArrayGraph` are only trustworthy if they
+are *bit-identical* to the per-node reference paths a process takes on a
+:class:`DynamicGraph` with the same neighbour rows: same RNG stream
+consumption, same neighbour choices, same per-round added edges, same
+totals.  These tests run every process to convergence on seeded graph
+families, once on the generator's array graph and once on its
+``to_dynamic()`` oracle twin, and compare everything the trace exposes.
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ from repro.core.push import PushDiscovery
 from repro.core.variants import FaultyPullDiscovery, FaultyPushDiscovery
 from repro.graphs import directed_generators as dgen
 from repro.graphs import generators as gen
-from repro.graphs.array_adjacency import as_backend
+from repro.graphs.adjacency import DynamicGraph
+from repro.graphs.array_adjacency import ArrayGraph
 from repro.simulation.engine import make_process
 
 SEEDS = [0, 7, 20120614]
@@ -43,14 +46,19 @@ DIRECTED_FAMILIES = {
 }
 
 
-def run_trace(process_cls, base_graph, seed, backend, normalize=False, **kwargs):
+def on_graph(base_graph, kind):
+    """A fresh copy of ``base_graph``: the ``"array"`` graph or its ``"list"`` oracle twin."""
+    return base_graph.to_dynamic() if kind == "list" else base_graph.copy()
+
+
+def run_trace(process_cls, base_graph, seed, kind, normalize=False, **kwargs):
     """Run to convergence and return every trace-visible quantity.
 
     ``normalize=True`` canonicalises undirected edge orientation — needed
     for flooding, whose packed round reports new edges as ``u < v`` while
-    the list loop records them in delivery orientation (same edge sets).
+    the reference loop records them in delivery orientation (same edge sets).
     """
-    graph = as_backend(base_graph.copy(), backend)
+    graph = on_graph(base_graph, kind)
     process = process_cls(graph, rng=seed, **kwargs)
     result = process.run_to_convergence(record_history=True)
 
@@ -102,7 +110,7 @@ class TestUndirectedEquivalence:
 
 
 class TestBaselineEquivalence:
-    """The three baselines (PR 3) are trace-identical across backends too."""
+    """The three baselines are trace-identical on the oracle too."""
 
     @pytest.mark.parametrize("family", sorted(UNDIRECTED_FAMILIES))
     @pytest.mark.parametrize(
@@ -125,7 +133,7 @@ class TestBaselineEquivalence:
 
     @pytest.mark.parametrize("process_cls", [NameDropper, RandomPointerJump])
     def test_sequential_baseline_trace_identical(self, process_cls):
-        """Sequential rounds use scalar draws; both backends consume the same stream."""
+        """Sequential rounds use scalar draws; both graphs consume the same stream."""
         base = gen.path_graph(18)
         ref = run_trace(
             process_cls, base, 13, "list", semantics=UpdateSemantics.SEQUENTIAL
@@ -142,11 +150,10 @@ class TestBaselineEquivalence:
         invariant that keeps neighbour rows, and hence future draws, aligned."""
         base = gen.cycle_graph(24)
         runs = {}
-        for backend in ("list", "array"):
-            graph = as_backend(base.copy(), backend)
-            process = process_cls(graph, rng=9)
+        for kind in ("list", "array"):
+            process = process_cls(on_graph(base, kind), rng=9)
             result = process.run_to_convergence(record_history=True)
-            runs[backend] = [
+            runs[kind] = [
                 [(int(u), int(v)) for u, v in r.added_edges] for r in result.history
             ]
         assert runs["list"] == runs["array"]
@@ -167,53 +174,50 @@ class TestDirectedEquivalence:
             assert ref["edges"] == fast["edges"]
 
 
-class TestEngineBackendOption:
-    def test_make_process_backend_equivalence(self):
+class TestEngineOnEitherGraph:
+    def test_make_process_oracle_equivalence(self):
         base = gen.cycle_graph(24)
         results = {}
-        for backend in ("list", "array"):
-            proc = make_process("push", base.copy(), rng=17, backend=backend)
+        for kind in ("list", "array"):
+            proc = make_process("push", on_graph(base, kind), rng=17)
             run = proc.run_to_convergence()
-            results[backend] = (run.rounds, run.total_messages, run.total_bits)
+            results[kind] = (run.rounds, run.total_messages, run.total_bits)
         assert results["list"] == results["array"]
 
     @pytest.mark.parametrize("name", ["name_dropper", "pointer_jump", "flooding"])
-    def test_make_process_accepts_array_for_baselines(self, name):
-        """Baselines run on both backends end-to-end with identical seeded totals."""
+    def test_make_process_runs_baselines_on_either_graph(self, name):
+        """Baselines run on the array graph and the oracle with identical seeded totals."""
         base = gen.cycle_graph(16)
         results = {}
-        for backend in ("list", "array"):
-            proc = make_process(name, base.copy(), rng=3, backend=backend)
-            assert proc.backend == backend
+        for kind, graph_cls in (("list", DynamicGraph), ("array", ArrayGraph)):
+            proc = make_process(name, on_graph(base, kind), rng=3)
+            assert type(proc.graph) is graph_cls
             run = proc.run_to_convergence()
             assert run.converged
-            results[backend] = (run.rounds, run.total_messages, run.total_bits)
+            results[kind] = (run.rounds, run.total_messages, run.total_bits)
         assert results["list"] == results["array"]
 
     def test_pointer_jump_classifies_array_graphs(self):
         """Handed an array graph directly, pointer jump picks the right mode."""
-        from repro.graphs import directed_generators as dgen
-
-        directed = make_process(
-            "pointer_jump_directed", as_backend(dgen.directed_cycle(8), "array"), rng=0
-        )
+        directed = make_process("pointer_jump_directed", dgen.directed_cycle(8), rng=0)
         assert directed._directed
         assert directed.run_to_convergence().converged
-        undirected = make_process("pointer_jump", as_backend(gen.cycle_graph(8), "array"), rng=0)
+        undirected = make_process("pointer_jump", gen.cycle_graph(8), rng=0)
         assert not undirected._directed
         assert undirected.run_to_convergence().converged
 
-    def test_process_backend_kwarg_converts_graph(self):
-        proc = PushDiscovery(gen.cycle_graph(12), rng=0, backend="array")
-        assert proc.backend == "array"
-        assert type(proc.graph).__name__ == "ArrayGraph"
+    def test_process_runs_on_the_graph_it_is_given(self):
+        base = gen.cycle_graph(12)
+        assert PushDiscovery(base, rng=0).graph is base
+        oracle = base.to_dynamic()
+        assert PushDiscovery(oracle, rng=0).graph is oracle
 
     def test_neighbor_rows_stay_aligned_after_convergence(self):
         """The strong invariant behind trace equality: identical row order."""
         base = gen.path_graph(18)
-        ref = PushDiscovery(base.copy(), rng=9)
+        ref = PushDiscovery(base.to_dynamic(), rng=9)
         ref.run_to_convergence()
-        fast = PushDiscovery(base.copy(), rng=9, backend="array")
+        fast = PushDiscovery(base.copy(), rng=9)
         fast.run_to_convergence()
         for u in range(base.n):
             assert list(ref.graph.neighbors(u)) == fast.graph.neighbors(u).tolist()

@@ -11,7 +11,6 @@ from repro.core.push import PushDiscovery
 from repro.graphs import directed_generators as dgen
 from repro.graphs import generators as gen
 from repro.graphs.adjacency import DynamicDiGraph
-from repro.graphs.array_adjacency import as_backend
 from repro.graphs.closure import is_transitively_closed
 
 
@@ -22,14 +21,14 @@ class TestNameDropper:
 
     def test_requires_undirected_array_backend(self):
         with pytest.raises(TypeError):
-            NameDropper(as_backend(dgen.directed_cycle(6), "array"))
+            NameDropper(dgen.directed_cycle(6))
 
     def test_rejects_non_graph_objects(self):
         with pytest.raises(TypeError, match="protocol"):
             NameDropper(type("NotAGraph", (), {"directed": False})())
 
     def test_accepts_array_graph(self):
-        graph = as_backend(gen.cycle_graph(12), "array")
+        graph = gen.cycle_graph(12)
         proc = NameDropper(graph, rng=0)
         assert proc.run_to_convergence().converged
         assert graph.is_complete()
@@ -74,15 +73,15 @@ class TestNameDropper:
 class TestNameDropperDrawStream:
     """The RNG contract of both update semantics, pinned generator-state-exact."""
 
-    @pytest.mark.parametrize("backend", ["list", "array"])
-    def test_sequential_draws_once_per_active_node(self, backend):
+    @pytest.mark.parametrize("substrate", ["list", "array"])
+    def test_sequential_draws_once_per_active_node(self, substrate):
         """Regression for the double-draw bug: one ``rng.integers`` per active
         node, and the round's effect equals the manual index-order replay
         (the old code pre-sampled a discarded pass first, consuming two
         draws per node and corrupting the sampling stream)."""
         base = gen.path_graph(10)
         proc = NameDropper(
-            as_backend(base.copy(), backend),
+            base.to_dynamic() if substrate == "list" else base.copy(),
             rng=np.random.default_rng(123),
             semantics=UpdateSemantics.SEQUENTIAL,
         )
@@ -101,12 +100,13 @@ class TestNameDropperDrawStream:
         # Identical generator states <=> identical draw counts and kinds.
         assert proc.rng.bit_generator.state == rng.bit_generator.state
 
-    @pytest.mark.parametrize("backend", ["list", "array"])
-    def test_synchronous_consumes_one_bulk_draw(self, backend):
+    @pytest.mark.parametrize("substrate", ["list", "array"])
+    def test_synchronous_consumes_one_bulk_draw(self, substrate):
         """A synchronous round consumes exactly ``rng.random(n)`` — the shared
-        bulk-draw convention that makes backends trace-identical."""
+        bulk-draw convention that makes the oracle trace-identical."""
+        base = gen.path_graph(10)
         proc = NameDropper(
-            as_backend(gen.path_graph(10), backend), rng=np.random.default_rng(7)
+            base.to_dynamic() if substrate == "list" else base, rng=np.random.default_rng(7)
         )
         proc.step()
         rng = np.random.default_rng(7)
@@ -159,7 +159,7 @@ class TestRandomPointerJump:
         assert proc.run_to_convergence().rounds == 0
 
     def test_directed_array_backend_converges_to_closure(self):
-        g = as_backend(dgen.directed_cycle(8), "array")
+        g = dgen.directed_cycle(8)
         proc = RandomPointerJump(g, rng=0)
         assert proc.run_to_convergence().converged
         assert is_transitively_closed(g)
@@ -183,10 +183,10 @@ class TestNeighborhoodFlooding:
 
     def test_requires_undirected_array_backend(self):
         with pytest.raises(TypeError):
-            NeighborhoodFlooding(as_backend(dgen.directed_cycle(6), "array"))
+            NeighborhoodFlooding(dgen.directed_cycle(6))
 
     def test_accepts_array_graph(self):
-        graph = as_backend(gen.path_graph(17), "array")
+        graph = gen.path_graph(17)
         proc = NeighborhoodFlooding(graph, rng=0)
         result = proc.run_to_convergence()
         assert result.converged
@@ -197,8 +197,8 @@ class TestNeighborhoodFlooding:
         """One packed round reports the same messages/bits/added-edge set as
         the reference triple loop on the same starting graph."""
         base = gen.make_family("erdos_renyi", 24, np.random.default_rng(5))
-        ref = NeighborhoodFlooding(base.copy(), rng=0).step()
-        fast = NeighborhoodFlooding(as_backend(base.copy(), "array"), rng=0).step()
+        ref = NeighborhoodFlooding(base.to_dynamic(), rng=0).step()
+        fast = NeighborhoodFlooding(base.copy(), rng=0).step()
         assert fast.messages_sent == ref.messages_sent
         assert fast.bits_sent == ref.bits_sent
         canon = lambda edges: {tuple(sorted((int(u), int(v)))) for u, v in edges}
@@ -207,7 +207,7 @@ class TestNeighborhoodFlooding:
     def test_packed_round_skips_proposal_materialisation(self):
         """The packed round never builds the Θ(n·m) proposal list (documented
         contract: accounting and added_edges are exact, proposals stay empty)."""
-        proc = NeighborhoodFlooding(as_backend(gen.cycle_graph(12), "array"), rng=0)
+        proc = NeighborhoodFlooding(gen.cycle_graph(12), rng=0)
         result = proc.step()
         assert result.num_added > 0
         assert result.proposed_edges == []

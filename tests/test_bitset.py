@@ -83,6 +83,19 @@ class TestPackUnpack:
 
 
 class TestBitOps:
+    def test_scalar_ops_accept_numpy_integers_on_full_words(self):
+        """Regression: a NumPy column index once pushed a word with bit 63 set
+        through ``int64`` and overflowed (neighbour rows hand out ``np.int64``)."""
+        bits = bitset.zeros(2, 128)
+        for col in (np.int64(63), np.int64(127), np.int64(5)):
+            bitset.set_bit(bits, np.int64(1), col)
+        assert bitset.get_bit(bits, np.int64(1), np.int64(63))
+        assert bitset.get_bit(bits, 1, np.int64(5))
+        assert not bitset.get_bit(bits, 1, np.int64(4))
+        g = ArrayGraph(70, [(0, v) for v in range(1, 70)])
+        row = g.neighbors(0)  # np.int64 entries; node 0's first word is full
+        assert g.has_edge(0, row[62]) and not g.has_edge(row[0], row[62])
+
     @FAST
     @given(bool_matrices(max_rows=8, max_bits=100), st.integers(0, 2**31 - 1))
     def test_get_set_clear_bits_match_reference(self, mat, seed):
@@ -297,7 +310,7 @@ class TestGoldenTraceRegression:
             (Path(__file__).parent / "data" / "golden_push_cycle_n64.json").read_text()
         )
         graph = gen.cycle_graph(golden["n"])
-        process = PushDiscovery(graph, rng=golden["seed"], backend="array")
+        process = PushDiscovery(graph, rng=golden["seed"])
         assert isinstance(process.graph, ArrayGraph)
         # Storage really is packed words, not bytes.
         n = golden["n"]

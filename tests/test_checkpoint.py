@@ -3,10 +3,12 @@
 The property pinned here is the crash-tolerance substrate's whole point:
 a run checkpointed at any round and resumed — in this process or a fresh
 one — reproduces the uninterrupted run exactly (same contact graphs, same
-counters, same bit-generator end state), for every registered process, on
-both graph backends, sharded and not.  The format tests pin the failure
-modes: truncated envelopes, checksum mismatches and foreign versions all
-refuse to resume instead of continuing from corrupt state.
+counters, same bit-generator end state), for every registered process,
+sharded and not.  Version-1 files captured from processes on the
+list-based reference graphs still restore (onto array graphs) and resume
+to the same end state.  The format tests pin the failure modes: truncated
+envelopes, checksum mismatches and foreign versions all refuse to resume
+instead of continuing from corrupt state.
 """
 
 from __future__ import annotations
@@ -21,6 +23,8 @@ import pytest
 
 from repro.graphs import directed_generators as dgen
 from repro.graphs import generators as gen
+from repro.graphs.array_adjacency import ArrayDiGraph, ArrayGraph
+from repro.simulation import checkpoint
 from repro.simulation.checkpoint import (
     CHECKPOINT_VERSION,
     CheckpointError,
@@ -30,6 +34,7 @@ from repro.simulation.checkpoint import (
     restore_process,
     resume_from_checkpoint,
     save_checkpoint,
+    write_checkpoint,
 )
 from repro.simulation.engine import (
     PROCESS_REGISTRY,
@@ -44,7 +49,6 @@ SHARDABLE_NAMES = sorted(
     for name, (ctor, _) in PROCESS_REGISTRY.items()
     if ctor in SHARDABLE_PROCESSES
 )
-BACKENDS = ("list", "array")
 N = 12
 SEED = 20120614
 CHECKPOINT_AT = 4  # run this many rounds (capped by convergence) before snapshotting
@@ -54,7 +58,8 @@ def canon(edges):
     return sorted((int(u), int(v)) for u, v in edges)
 
 
-def build(name: str, backend: str, shards: int = 1):
+def build(name: str, shards: int = 1, oracle: bool = False):
+    """The seeded test process; ``oracle=True`` runs it on the list-based twin graph."""
     rng = np.random.default_rng(SEED)
     _, needs_directed = PROCESS_REGISTRY[name]
     if needs_directed:
@@ -63,9 +68,8 @@ def build(name: str, backend: str, shards: int = 1):
         graph = gen.make_family("cycle", N, rng)
     return make_process(
         name,
-        graph,
+        graph.to_dynamic() if oracle else graph,
         rng=rng,
-        backend=backend,
         shards=shards,
         shard_seed=777 if shards > 1 else None,
         shard_parallel=False if shards > 1 else None,
@@ -83,12 +87,11 @@ def assert_same_end_state(a, b) -> None:
     assert a.is_converged() == b.is_converged()
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("name", ALL_NAMES)
-def test_resume_equivalence_every_process(name, backend, tmp_path):
+def test_resume_equivalence_every_process(name, tmp_path):
     """checkpoint-at-k + resume == uninterrupted, for the whole registry."""
-    uninterrupted = build(name, backend)
-    interrupted = build(name, backend)
+    uninterrupted = build(name)
+    interrupted = build(name)
     interrupted.run(max_rounds=CHECKPOINT_AT)
     k = interrupted.round_index  # fast convergers stop before CHECKPOINT_AT
     path = save_checkpoint(interrupted, tmp_path / f"round_{k:08d}")
@@ -104,8 +107,8 @@ def test_resume_equivalence_every_process(name, backend, tmp_path):
 @pytest.mark.parametrize("name", SHARDABLE_NAMES)
 def test_resume_equivalence_sharded(name, shards, tmp_path):
     """The sharded wrapper checkpoints and resumes through the same format."""
-    uninterrupted = build(name, "array", shards=shards)
-    interrupted = build(name, "array", shards=shards)
+    uninterrupted = build(name, shards=shards)
+    interrupted = build(name, shards=shards)
     interrupted.run(max_rounds=CHECKPOINT_AT)
     k = interrupted.round_index
     path = save_checkpoint(interrupted, tmp_path / f"round_{k:08d}")
@@ -124,12 +127,55 @@ def test_resume_equivalence_sharded(name, shards, tmp_path):
                 close()
 
 
+def _list_graph_payload(graph):
+    """The version-1 writer's list branch: rows copied out of the per-node lists."""
+    deg = graph.out_degrees() if graph.directed else graph.degrees()
+    row = graph.out_neighbors if graph.directed else graph.neighbors
+    rows = np.full((graph.n, max(int(deg.max()), 1)), -1, dtype=np.int64)
+    for u in graph.nodes():
+        rows[u, : deg[u]] = row(u)
+    meta = {
+        "n": graph.n,
+        "directed": graph.directed,
+        "num_edges": graph.number_of_edges(),
+        "capacity": 0,
+    }
+    return meta, {"nbr": rows, "deg": deg}
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_list_graph_checkpoint_resumes_on_array_graph(name, tmp_path, monkeypatch):
+    """A version-1 file captured on the reference oracle (meta ``"backend": "list"``)
+    restores onto an array graph and resumes to the uninterrupted run's counters."""
+    uninterrupted = build(name, oracle=True)
+    uninterrupted.run_to_convergence()
+    interrupted = build(name, oracle=True)
+    interrupted.run(max_rounds=CHECKPOINT_AT)
+    with monkeypatch.context() as patch:
+        patch.setattr(checkpoint, "_graph_payload", _list_graph_payload)
+        legacy = capture_checkpoint(interrupted)
+    legacy.meta["backend"] = "list"
+    path = write_checkpoint(legacy, tmp_path / "legacy")
+    assert json.loads(path.read_text())["meta"]["backend"] == "list"
+
+    resumed = restore_process(load_checkpoint(path))
+    assert isinstance(resumed.graph, (ArrayGraph, ArrayDiGraph))
+    assert_same_end_state(interrupted, resumed)
+    resumed.run_to_convergence()
+    assert_same_end_state(uninterrupted, resumed)
+
+
+def test_oracle_graph_not_checkpointable():
+    with pytest.raises(CheckpointError, match="reference oracle"):
+        capture_checkpoint(build("push", oracle=True))
+
+
 def test_resume_from_checkpoint_reports_total_rounds(tmp_path):
     """resume_from_checkpoint's RunResult equals the uninterrupted run's."""
-    uninterrupted = build("push", "list")
+    uninterrupted = build("push")
     reference = uninterrupted.run_to_convergence()
 
-    interrupted = build("push", "list")
+    interrupted = build("push")
     interrupted.run(max_rounds=CHECKPOINT_AT)
     path = save_checkpoint(interrupted, tmp_path / "snap")
     result = resume_from_checkpoint(path)
@@ -142,10 +188,10 @@ def test_resume_from_checkpoint_reports_total_rounds(tmp_path):
 
 def test_resume_in_fresh_process(tmp_path):
     """A brand-new interpreter resumes to the same end state (true crash shape)."""
-    uninterrupted = build("pull", "array")
+    uninterrupted = build("pull")
     uninterrupted.run_to_convergence()
 
-    interrupted = build("pull", "array")
+    interrupted = build("pull")
     interrupted.run(max_rounds=CHECKPOINT_AT)
     path = save_checkpoint(interrupted, tmp_path / "snap")
 
@@ -201,7 +247,7 @@ def test_checkpoint_requires_dir():
 
 
 def test_envelope_format_and_checksum(tmp_path):
-    process = build("push", "array")
+    process = build("push")
     process.run(max_rounds=2)
     path = save_checkpoint(process, tmp_path / "snap")
     envelope = json.loads(path.read_text())
@@ -209,11 +255,12 @@ def test_envelope_format_and_checksum(tmp_path):
     assert envelope["version"] == CHECKPOINT_VERSION
     assert envelope["checksum"]["algorithm"] == "sha256"
     assert envelope["meta"]["process"] == "push"
+    assert envelope["meta"]["backend"] == "array"  # version-1 key, kept for old readers
     assert envelope["meta"]["round_index"] == process.round_index
 
 
 def test_load_rejects_truncated_envelope(tmp_path):
-    process = build("push", "list")
+    process = build("push")
     process.run(max_rounds=2)
     path = save_checkpoint(process, tmp_path / "snap")
     raw = path.read_text()
@@ -223,7 +270,7 @@ def test_load_rejects_truncated_envelope(tmp_path):
 
 
 def test_load_rejects_corrupt_payload(tmp_path):
-    process = build("push", "list")
+    process = build("push")
     process.run(max_rounds=2)
     path = save_checkpoint(process, tmp_path / "snap")
     npz = path.with_suffix(".npz")
@@ -234,7 +281,7 @@ def test_load_rejects_corrupt_payload(tmp_path):
 
 
 def test_load_rejects_unknown_version(tmp_path):
-    process = build("push", "list")
+    process = build("push")
     process.run(max_rounds=2)
     path = save_checkpoint(process, tmp_path / "snap")
     envelope = json.loads(path.read_text())
@@ -245,7 +292,7 @@ def test_load_rejects_unknown_version(tmp_path):
 
 
 def test_load_rejects_missing_payload(tmp_path):
-    process = build("push", "list")
+    process = build("push")
     process.run(max_rounds=2)
     path = save_checkpoint(process, tmp_path / "snap")
     path.with_suffix(".npz").unlink()
@@ -261,7 +308,7 @@ def test_latest_checkpoint_empty_dir(tmp_path):
 def test_instance_patched_process_not_checkpointable():
     from repro.core.variants import ChurnModel
 
-    process = build("push", "list")
+    process = build("push")
     ChurnModel(process, rng=1)
     with pytest.raises(CheckpointError, match="instance-patched"):
         capture_checkpoint(process)

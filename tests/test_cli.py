@@ -44,22 +44,27 @@ class TestCommands:
         assert "theorem-shape fit" in out
 
     def test_run_baseline_on_array_backend(self, capsys):
-        """End-to-end: a baseline rides the CLI's --backend array plumbing, and
-        the seeded summary matches the list backend exactly."""
-        outputs = {}
-        for backend in ("list", "array"):
+        """End-to-end: a baseline runs on the generators' array graphs, and the
+        seeded summary repeats exactly."""
+        outputs = []
+        for _ in range(2):
             assert cli.main(["run", "--process", "name_dropper", "--family", "cycle",
-                             "--n", "16", "--trials", "2", "--seed", "5",
-                             "--backend", backend]) == 0
-            outputs[backend] = capsys.readouterr().out
-            assert "rounds_mean" in outputs[backend]
-        assert outputs["list"] == outputs["array"]
+                             "--n", "16", "--trials", "2", "--seed", "5"]) == 0
+            outputs.append(capsys.readouterr().out)
+            assert "rounds_mean" in outputs[-1]
+        assert outputs[0] == outputs[1]
 
     def test_run_flooding_on_array_backend(self, capsys):
         assert cli.main(["run", "--process", "flooding", "--family", "cycle",
-                         "--n", "16", "--trials", "1", "--seed", "5",
-                         "--backend", "array"]) == 0
+                         "--n", "16", "--trials", "1", "--seed", "5"]) == 0
         assert "rounds_mean" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["run", "scaling", "group", "directed"])
+    def test_backend_option_is_gone(self, command, capsys):
+        """There is one graph substrate, so no subcommand offers --backend."""
+        with pytest.raises(SystemExit):
+            cli.main([command, "--backend", "array"])
+        assert "unrecognized arguments: --backend" in capsys.readouterr().err
 
     def test_nonmonotone_command(self, capsys):
         assert cli.main(["nonmonotone", "--trials", "50", "--seed", "3"]) == 0

@@ -97,7 +97,7 @@ class TestRunnerFaults:
 def sharded(n=64, parallel=None, **kwargs):
     rng = np.random.default_rng(3)
     graph = gen.make_family("cycle", n, rng)
-    process = make_process("push", graph, rng=rng, backend="array")
+    process = make_process("push", graph, rng=rng)
     return ShardedProcess(process, shards=3, seed=999, parallel=parallel, **kwargs)
 
 

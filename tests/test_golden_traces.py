@@ -1,8 +1,10 @@
-"""Golden-trace regression: both backends reproduce committed seeded traces bit-for-bit.
+"""Golden-trace regression: the array graphs and their oracle reproduce committed traces.
 
 The JSON files under ``tests/data/`` record the exact per-round added
 edges, round counts, and message/bit totals of reference runs (push,
-pull, and the three baselines on a 64-node cycle, seed 20120614).  Any
+pull, and the three baselines on a 64-node cycle, seed 20120614).  Every
+trace is replayed on the generator's ``ArrayGraph`` (``"array"``) and on
+its list-based reference-oracle twin (``"list"``).  Any
 refactor that changes the RNG draw order — reordering bulk draws,
 changing the uniform→index mapping, touching neighbour insertion order —
 breaks these tests immediately instead of silently invalidating
@@ -22,6 +24,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.baselines.flooding import NeighborhoodFlooding
@@ -29,7 +32,9 @@ from repro.baselines.name_dropper import NameDropper
 from repro.baselines.pointer_jump import RandomPointerJump
 from repro.core.pull import PullDiscovery
 from repro.core.push import PushDiscovery
+from repro.graphs import directed_generators as dgen
 from repro.graphs import generators as gen
+from make_golden_traces import FAMILIES_FILE, FAMILY_SEEDS, FAMILY_SIZES, family_digest
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -46,9 +51,11 @@ def load_golden(filename: str) -> dict:
     return json.loads((DATA_DIR / filename).read_text())
 
 
-def replay(process_cls, golden: dict, backend: str) -> dict:
+def replay(process_cls, golden: dict, substrate: str) -> dict:
     graph = gen.cycle_graph(golden["n"])
-    process = process_cls(graph, rng=golden["seed"], backend=backend)
+    if substrate == "list":
+        graph = graph.to_dynamic()
+    process = process_cls(graph, rng=golden["seed"])
     result = process.run_to_convergence(record_history=True)
     if golden.get("canonical_edges"):
         rounds = [
@@ -71,11 +78,11 @@ def replay(process_cls, golden: dict, backend: str) -> dict:
     }
 
 
-@pytest.mark.parametrize("backend", ["list", "array"])
+@pytest.mark.parametrize("substrate", ["list", "array"])
 @pytest.mark.parametrize("filename,process_cls", GOLDEN_CASES)
-def test_backend_reproduces_golden_trace(filename, process_cls, backend):
+def test_backend_reproduces_golden_trace(filename, process_cls, substrate):
     golden = load_golden(filename)
-    replayed = replay(process_cls, golden, backend)
+    replayed = replay(process_cls, golden, substrate)
     assert replayed["rounds"] == golden["rounds"]
     assert replayed["total_edges_added"] == golden["total_edges_added"]
     assert replayed["total_messages"] == golden["total_messages"]
@@ -92,3 +99,26 @@ def test_golden_traces_cover_complete_graph():
         recorded = sum(len(edges) for _, edges in golden["added_by_round"])
         assert recorded == golden["total_edges_added"]
         assert recorded == n * (n - 1) // 2 - n  # cycle starts with n edges
+
+
+@pytest.mark.parametrize(
+    "kind,registry",
+    [("undirected", gen.FAMILY_REGISTRY), ("directed", dgen.DIRECTED_FAMILY_REGISTRY)],
+)
+def test_generators_reproduce_golden_family_digests(kind, registry):
+    """Every registered family builds the recorded degree vector and neighbour rows.
+
+    The digests were recorded from the per-node-list generators; the array
+    generators must insert the same edge sequence, so every row keeps its
+    order (and every seeded trace run on the graph its draws).
+    """
+    golden = json.loads((DATA_DIR / FAMILIES_FILE).read_text())
+    checked = 0
+    for name in sorted(registry):
+        for n in FAMILY_SIZES:
+            for seed in FAMILY_SEEDS:
+                graph = registry[name](n, np.random.default_rng(seed))
+                key = f"{kind}/{name}/n{n}/seed{seed}"
+                assert family_digest(graph) == golden[key], key
+                checked += 1
+    assert checked == sum(key.startswith(f"{kind}/") for key in golden)

@@ -182,7 +182,6 @@ class TestRegistryConsistency:
         problems = cross_check(snapshot)
         anchors = {anchor for anchor, _ in problems}
         assert anchors == {
-            "array_backend",
             "shardable",
             "unshardable",
             "shard_kinds",

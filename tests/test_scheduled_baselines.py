@@ -1,4 +1,4 @@
-"""Activation schedules restrict *every* registered process on both backends.
+"""Activation schedules restrict *every* registered process on either graph class.
 
 Regression suite for the scheduled-baseline bug: the baselines override
 ``step()`` wholesale, and before this fix they never consulted
@@ -6,11 +6,11 @@ Regression suite for the scheduled-baseline bug: the baselines override
 byte-identical edge sets to full activation.  The headline test here fails
 on the pre-fix code: a strict subset of active nodes must add strictly
 fewer edges than full activation for every registered process, on the
-list and the array backend alike.
+array graph and the list-based reference oracle alike.
 
-The second half pins cross-backend trace equivalence *under* schedules:
-a seeded subset schedule produces identical per-round edge sets on both
-backends (the subset bulk draw consumes one uniform per participating
+The second half pins oracle trace equivalence *under* schedules: a seeded
+subset schedule produces identical per-round edge sets on both graph
+classes (the subset bulk draw consumes one uniform per participating
 node on each).
 """
 
@@ -32,7 +32,13 @@ from repro.simulation.engine import PROCESS_REGISTRY, make_process
 N = 16
 ROUNDS = 4
 SUBSET = [0, 1, 2]
-BACKENDS = ["list", "array"]
+#: the reference oracle ("list") and the array graph ("array")
+SUBSTRATES = ["list", "array"]
+
+
+def _on(graph, substrate: str):
+    """A fresh copy of ``graph``, or its list-based oracle twin for ``"list"``."""
+    return graph.to_dynamic() if substrate == "list" else graph.copy()
 
 
 def _base_graph(name: str):
@@ -43,8 +49,8 @@ def _base_graph(name: str):
     return gen.cycle_graph(N)
 
 
-def _edges_after(name: str, backend: str, schedule) -> int:
-    process = make_process(name, _base_graph(name).copy(), rng=11, backend=backend)
+def _edges_after(name: str, substrate: str, schedule) -> int:
+    process = make_process(name, _on(_base_graph(name), substrate), rng=11)
     if schedule is not None:
         process = ScheduledProcess(process, schedule)
     for _ in range(ROUNDS):
@@ -55,27 +61,27 @@ def _edges_after(name: str, backend: str, schedule) -> int:
 class TestSubsetRestrictsEveryProcess:
     """The headline regression: subset runs add strictly fewer edges."""
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("substrate", SUBSTRATES)
     @pytest.mark.parametrize("name", sorted(PROCESS_REGISTRY))
-    def test_subset_adds_strictly_fewer_edges(self, name, backend):
-        full = _edges_after(name, backend, None)
-        subset = _edges_after(name, backend, FixedSubsetActivation(SUBSET))
+    def test_subset_adds_strictly_fewer_edges(self, name, substrate):
+        full = _edges_after(name, substrate, None)
+        subset = _edges_after(name, substrate, FixedSubsetActivation(SUBSET))
         assert full > 0, f"{name} added nothing under full activation"
         assert subset < full, (
-            f"{name} on {backend}: subset activation added {subset} edges "
+            f"{name} on {substrate}: subset activation added {subset} edges "
             f"vs {full} under full activation — the schedule was ignored"
         )
 
     @pytest.mark.parametrize("name", ["flooding", "name_dropper", "pointer_jump"])
     def test_subset_edge_sets_match_across_backends(self, name):
-        """Both backends agree on *which* edges a subset run creates."""
+        """Both graph classes agree on *which* edges a subset run creates."""
         edge_sets = {}
-        for backend in BACKENDS:
-            process = make_process(name, gen.cycle_graph(N), rng=5, backend=backend)
+        for substrate in SUBSTRATES:
+            process = make_process(name, _on(gen.cycle_graph(N), substrate), rng=5)
             wrapped = ScheduledProcess(process, FixedSubsetActivation(SUBSET))
             for _ in range(ROUNDS):
                 wrapped.step()
-            edge_sets[backend] = sorted(
+            edge_sets[substrate] = sorted(
                 (min(int(u), int(v)), max(int(u), int(v)))
                 for u, v in process.graph.edge_list()
             )
@@ -88,8 +94,8 @@ class TestScheduledTraceEquivalence:
     PROCESSES = ["push", "pull", "name_dropper", "pointer_jump", "flooding"]
 
     @staticmethod
-    def _run(name: str, backend: str, make_schedule):
-        process = make_process(name, gen.cycle_graph(20), rng=13, backend=backend)
+    def _run(name: str, substrate: str, make_schedule):
+        process = make_process(name, _on(gen.cycle_graph(20), substrate), rng=13)
         wrapped = ScheduledProcess(process, make_schedule())
         per_round = []
         for _ in range(5):
@@ -118,7 +124,7 @@ class TestScheduledTraceEquivalence:
 
     @pytest.mark.parametrize("name", PROCESSES)
     def test_bernoulli_schedule_trace_equivalent(self, name):
-        """The schedule draws from the process rng; both backends share the stream."""
+        """The schedule draws from the process rng; both graph classes share the stream."""
         ref = self._run(name, "list", lambda: BernoulliActivation(0.5))
         fast = self._run(name, "array", lambda: BernoulliActivation(0.5))
         assert ref == fast
@@ -126,8 +132,8 @@ class TestScheduledTraceEquivalence:
     @pytest.mark.parametrize("name", ["name_dropper", "pointer_jump"])
     def test_round_robin_single_actor_rounds(self, name):
         """One node per tick: a baseline round does at most one node's work."""
-        for backend in BACKENDS:
-            process = make_process(name, gen.cycle_graph(10), rng=2, backend=backend)
+        for substrate in SUBSTRATES:
+            process = make_process(name, _on(gen.cycle_graph(10), substrate), rng=2)
             wrapped = ScheduledProcess(process, RoundRobinActivation())
             result = wrapped.step()
             assert result.messages_sent <= 2  # one actor (pointer jump pays 2)
@@ -137,11 +143,11 @@ class TestScheduledProcessPassthrough:
     """The wrapper is a full stand-in: no reaching into ``.process`` needed."""
 
     def test_exposes_rng_round_index_metrics_history(self):
-        process = make_process("push", gen.cycle_graph(12), rng=0, backend="array")
+        process = make_process("push", gen.cycle_graph(12), rng=0)
         wrapped = ScheduledProcess(process, FixedSubsetActivation([0, 1, 2]))
         assert wrapped.rng is process.rng
         assert wrapped.round_index == 0
-        assert wrapped.backend == "array"
+        assert wrapped.graph is process.graph
         assert wrapped.semantics is process.semantics
         first = wrapped.step()
         assert wrapped.round_index == 1
@@ -156,7 +162,7 @@ class TestScheduledProcessPassthrough:
         assert metrics["bits"] == wrapped.total_bits == process.total_bits
 
     def test_degree_view_passthrough_matches_graph(self):
-        process = make_process("pull", gen.cycle_graph(10), rng=3, backend="list")
+        process = make_process("pull", gen.cycle_graph(10), rng=3)
         wrapped = ScheduledProcess(process, FixedSubsetActivation([0, 5]))
         wrapped.run(4)
         assert np.array_equal(wrapped.degree_view(), process.graph.degrees())

@@ -3,7 +3,7 @@
 Three-way contract (see :mod:`repro.simulation.sharding`):
 
 * ``shards=1`` delegates to the wrapped process — draw-for-draw identical
-  to the unsharded array backend;
+  to the unsharded process;
 * a fixed ``(seed, shard count)`` always reproduces the same trajectory,
   in-process and on the process pool alike;
 * the per-round shard streams are shard-count invariant, so for push and
@@ -40,14 +40,14 @@ def canon(edges):
 
 def trajectory(process_cls, n, seed, shards, rounds=6, parallel=False, **kwargs):
     """Per-round canonical added-edge lists of a sharded run."""
-    process = process_cls(gen.cycle_graph(n), rng=seed, backend="array", **kwargs)
+    process = process_cls(gen.cycle_graph(n), rng=seed, **kwargs)
     with ShardedProcess(process, shards=shards, parallel=parallel) as sharded:
         return [sorted(canon(sharded.step().added_edges)) for _ in range(rounds)]
 
 
 def directed_trajectory(process_cls, n, seed, shards, rounds=6, parallel=False):
     """Per-round ordered added-edge lists of a sharded run on a strong digraph."""
-    process = process_cls(dgen.thm15_strong_lower_bound(n), rng=seed, backend="array")
+    process = process_cls(dgen.thm15_strong_lower_bound(n), rng=seed)
     with ShardedProcess(process, shards=shards, parallel=parallel) as sharded:
         return [
             sorted((int(u), int(v)) for u, v in sharded.step().added_edges)
@@ -116,11 +116,11 @@ class TestShardMergeKernels:
 class TestTraceContract:
     @pytest.mark.parametrize("process_cls", [PushDiscovery, PullDiscovery])
     def test_shards_1_is_draw_for_draw_unsharded(self, process_cls):
-        plain = process_cls(gen.cycle_graph(20), rng=5, backend="array")
+        plain = process_cls(gen.cycle_graph(20), rng=5)
         ref = [sorted(canon(plain.step().added_edges)) for _ in range(6)]
         assert trajectory(process_cls, 20, 5, shards=1) == ref
         # ...and the wrapped process's generator consumed the same stream.
-        wrapped = process_cls(gen.cycle_graph(20), rng=5, backend="array")
+        wrapped = process_cls(gen.cycle_graph(20), rng=5)
         sharded = ShardedProcess(wrapped, shards=1)
         for _ in range(6):
             sharded.step()
@@ -148,12 +148,12 @@ class TestTraceContract:
 
     def test_flooding_sharded_equals_unsharded_rounds(self):
         """Flooding draws no randomness: sharded rounds add the same edge sets."""
-        plain = NeighborhoodFlooding(gen.cycle_graph(32), rng=0, backend="array")
+        plain = NeighborhoodFlooding(gen.cycle_graph(32), rng=0)
         ref = []
         while not plain.is_converged():
             ref.append(sorted(canon(plain.step().added_edges)))
         for shards in (2, 3):
-            proc = NeighborhoodFlooding(gen.cycle_graph(32), rng=0, backend="array")
+            proc = NeighborhoodFlooding(gen.cycle_graph(32), rng=0)
             with ShardedProcess(proc, shards=shards, parallel=False) as sharded:
                 got = []
                 while not sharded.is_converged():
@@ -164,10 +164,10 @@ class TestTraceContract:
 
     def test_sharded_messages_match_unsharded_totals(self):
         """Accounting is activation-shaped, not stream-shaped: totals agree."""
-        plain = PushDiscovery(gen.cycle_graph(24), rng=1, backend="array")
+        plain = PushDiscovery(gen.cycle_graph(24), rng=1)
         for _ in range(5):
             plain.step()
-        proc = PushDiscovery(gen.cycle_graph(24), rng=1, backend="array")
+        proc = PushDiscovery(gen.cycle_graph(24), rng=1)
         with ShardedProcess(proc, shards=3) as sharded:
             for _ in range(5):
                 sharded.step()
@@ -175,7 +175,7 @@ class TestTraceContract:
         assert proc.total_bits == plain.total_bits
 
     def test_run_to_convergence_completes_the_graph(self):
-        proc = PullDiscovery(gen.cycle_graph(16), rng=1, backend="array")
+        proc = PullDiscovery(gen.cycle_graph(16), rng=1)
         with ShardedProcess(proc, shards=2) as sharded:
             result = sharded.run_to_convergence(record_history=True)
         assert result.converged
@@ -199,9 +199,9 @@ class TestFullRegistryTraceContract:
 
     @pytest.mark.parametrize("process_cls", [NameDropper, RandomPointerJump])
     def test_shards_1_is_draw_for_draw_unsharded_payload(self, process_cls):
-        plain = process_cls(gen.cycle_graph(20), rng=5, backend="array")
+        plain = process_cls(gen.cycle_graph(20), rng=5)
         ref = [sorted(canon(plain.step().added_edges)) for _ in range(6)]
-        wrapped = process_cls(gen.cycle_graph(20), rng=5, backend="array")
+        wrapped = process_cls(gen.cycle_graph(20), rng=5)
         sharded = ShardedProcess(wrapped, shards=1)
         got = [sorted(canon(sharded.step().added_edges)) for _ in range(6)]
         assert got == ref
@@ -209,11 +209,11 @@ class TestFullRegistryTraceContract:
 
     def test_shards_1_is_draw_for_draw_unsharded_directed_walk(self):
         plain = DirectedTwoHopWalk(
-            dgen.thm15_strong_lower_bound(16), rng=4, backend="array"
+            dgen.thm15_strong_lower_bound(16), rng=4
         )
         ref = [sorted(map(tuple, plain.step().added_edges)) for _ in range(6)]
         wrapped = DirectedTwoHopWalk(
-            dgen.thm15_strong_lower_bound(16), rng=4, backend="array"
+            dgen.thm15_strong_lower_bound(16), rng=4
         )
         sharded = ShardedProcess(wrapped, shards=1)
         got = [sorted(map(tuple, sharded.step().added_edges)) for _ in range(6)]
@@ -244,7 +244,7 @@ class TestFullRegistryTraceContract:
 
     def test_sharded_walk_converges_to_transitive_closure(self):
         proc = DirectedTwoHopWalk(
-            dgen.thm15_strong_lower_bound(12), rng=3, backend="array"
+            dgen.thm15_strong_lower_bound(12), rng=3
         )
         with ShardedProcess(proc, shards=3) as sharded:
             result = sharded.run_to_convergence()
@@ -255,7 +255,7 @@ class TestFullRegistryTraceContract:
 
     @pytest.mark.parametrize("process_cls", [NameDropper, RandomPointerJump])
     def test_sharded_payload_rounds_complete_the_graph(self, process_cls):
-        proc = process_cls(gen.cycle_graph(16), rng=1, backend="array")
+        proc = process_cls(gen.cycle_graph(16), rng=1)
         with ShardedProcess(proc, shards=2) as sharded:
             result = sharded.run_to_convergence()
         assert result.converged
@@ -263,7 +263,7 @@ class TestFullRegistryTraceContract:
 
     def test_sharded_directed_pointer_jump_tracks_closure(self):
         proc = RandomPointerJump(
-            dgen.thm15_strong_lower_bound(12), rng=2, backend="array"
+            dgen.thm15_strong_lower_bound(12), rng=2
         )
         with ShardedProcess(proc, shards=3) as sharded:
             result = sharded.run_to_convergence()
@@ -282,9 +282,9 @@ class TestFullRegistryTraceContract:
         self, process_cls, graph_factory
     ):
         """Messages are activation-shaped: round 0 matches the unsharded round 0."""
-        plain = process_cls(graph_factory(), rng=3, backend="array")
+        plain = process_cls(graph_factory(), rng=3)
         ref = plain.step()
-        proc = process_cls(graph_factory(), rng=3, backend="array")
+        proc = process_cls(graph_factory(), rng=3)
         with ShardedProcess(proc, shards=4) as sharded:
             got = sharded.step()
         assert got.messages_sent == ref.messages_sent
@@ -327,21 +327,17 @@ class TestValidation:
     def test_rejects_unshardable_process(self):
         # Kernel registration is exact-type: a subclass that customises the
         # proposal rule (the faulty variants) must opt in explicitly.
-        from repro.graphs.array_adjacency import as_backend
-
-        proc = FaultyPushDiscovery(
-            as_backend(gen.cycle_graph(8), "array"), failure_prob=0.1, rng=0
-        )
+        proc = FaultyPushDiscovery(gen.cycle_graph(8), failure_prob=0.1, rng=0)
         with pytest.raises(ValueError, match="no sharded round kernel"):
             ShardedProcess(proc, shards=2)
 
     def test_rejects_list_backend(self):
-        with pytest.raises(ValueError, match="array graph backend"):
-            ShardedProcess(PushDiscovery(gen.cycle_graph(8), rng=0), shards=2)
+        with pytest.raises(ValueError, match="reference oracle"):
+            ShardedProcess(PushDiscovery(gen.cycle_graph(8).to_dynamic(), rng=0), shards=2)
 
     def test_rejects_sequential_semantics(self):
         proc = PushDiscovery(
-            gen.cycle_graph(8), rng=0, semantics=UpdateSemantics.SEQUENTIAL, backend="array"
+            gen.cycle_graph(8), rng=0, semantics=UpdateSemantics.SEQUENTIAL
         )
         with pytest.raises(ValueError, match="synchronous"):
             ShardedProcess(proc, shards=2)
@@ -349,7 +345,7 @@ class TestValidation:
     def test_rejects_patched_activation(self):
         from repro.core.scheduler import FixedSubsetActivation, ScheduledProcess
 
-        proc = PushDiscovery(gen.cycle_graph(8), rng=0, backend="array")
+        proc = PushDiscovery(gen.cycle_graph(8), rng=0)
         ScheduledProcess(proc, FixedSubsetActivation([0, 1]))
         with pytest.raises(ValueError, match="full activation"):
             ShardedProcess(proc, shards=2)
@@ -360,7 +356,7 @@ class TestValidation:
         full activation) — the exact bug class this PR's headline fix closed."""
         from repro.core.scheduler import FixedSubsetActivation, ScheduledProcess
 
-        proc = PushDiscovery(gen.cycle_graph(8), rng=0, backend="array")
+        proc = PushDiscovery(gen.cycle_graph(8), rng=0)
         sharded = ShardedProcess(proc, shards=2)
         with pytest.raises(TypeError, match="inner process"):
             ScheduledProcess(sharded, FixedSubsetActivation([0, 1]))
@@ -368,27 +364,24 @@ class TestValidation:
 
 class TestHarnessPlumbing:
     def test_make_process_requires_array_backend_for_shards(self):
-        with pytest.raises(ValueError, match="backend='array'"):
-            make_process("push", gen.cycle_graph(8), rng=0, shards=2)
+        with pytest.raises(ValueError, match="packed rows"):
+            make_process("push", gen.cycle_graph(8).to_dynamic(), rng=0, shards=2)
 
     def test_make_process_accepts_graph_already_on_array_backend(self):
-        """The shard gate reads the actual graph backend, not just the kwarg."""
-        from repro.graphs.array_adjacency import as_backend
-
-        proc = make_process("push", as_backend(gen.cycle_graph(8), "array"), rng=0, shards=2)
+        """The generators' array graphs pass the shard gate as built."""
+        proc = make_process("push", gen.cycle_graph(8), rng=0, shards=2)
         assert isinstance(proc, ShardedProcess)
         proc.close()
 
     def test_make_process_rejects_nonpositive_shards(self):
         for shards in (0, -2):
             with pytest.raises(ValueError, match=">= 1"):
-                make_process("push", gen.cycle_graph(8), rng=0, backend="array", shards=shards)
+                make_process("push", gen.cycle_graph(8), rng=0, shards=shards)
 
     def test_make_process_builds_sharded_wrapper(self):
-        proc = make_process("push", gen.cycle_graph(12), rng=0, backend="array", shards=3)
+        proc = make_process("push", gen.cycle_graph(12), rng=0, shards=3)
         assert isinstance(proc, ShardedProcess)
         assert proc.shards == 3
-        assert proc.backend == "array"
         run = proc.run_to_convergence()
         proc.close()
         assert run.converged
@@ -399,7 +392,6 @@ class TestHarnessPlumbing:
             family="cycle",
             n=24,
             trials=2,
-            backend="array",
             shards=2,
             shard_parallel=False,
         )
@@ -412,9 +404,9 @@ class TestHarnessPlumbing:
 
     def test_run_trials_shards_1_matches_presharding_results(self):
         """shards=1 specs reproduce the exact pre-sharding trial results."""
-        base = ExperimentSpec(process="pull", family="cycle", n=20, trials=2, backend="array")
+        base = ExperimentSpec(process="pull", family="cycle", n=20, trials=2)
         sharded = ExperimentSpec(
-            process="pull", family="cycle", n=20, trials=2, backend="array", shards=1
+            process="pull", family="cycle", n=20, trials=2, shards=1
         )
         a = run_trials(base, root_seed=7)
         b = run_trials(sharded, root_seed=7)
@@ -437,8 +429,6 @@ class TestHarnessPlumbing:
                     "2",
                     "--seed",
                     "3",
-                    "--backend",
-                    "array",
                     "--shards",
                     "2",
                 ]

@@ -5,7 +5,8 @@ import pytest
 
 from repro.core.push import PushDiscovery
 from repro.graphs import generators as gen
-from repro.graphs.adjacency import DynamicDiGraph, DynamicGraph
+from repro.graphs.adjacency import DynamicDiGraph
+from repro.graphs.array_adjacency import ArrayDiGraph, ArrayGraph
 from repro.simulation import bounds
 from repro.simulation.engine import (
     PROCESS_REGISTRY,
@@ -129,12 +130,12 @@ class TestExperimentSpecs:
     def test_build_graph_from_family(self, rng):
         spec = ExperimentSpec(process="push", family="cycle", n=12)
         g = spec.build_graph(rng)
-        assert isinstance(g, DynamicGraph)
+        assert isinstance(g, ArrayGraph)
         assert g.n == 12
 
     def test_build_graph_directed(self, rng):
         spec = ExperimentSpec(process="directed_pull", family="directed_cycle", n=8, directed=True)
-        assert isinstance(spec.build_graph(rng), DynamicDiGraph)
+        assert isinstance(spec.build_graph(rng), ArrayDiGraph)
 
     def test_custom_factory(self):
         spec = ExperimentSpec(

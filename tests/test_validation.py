@@ -15,8 +15,10 @@ class TestInvariantChecks:
 
     def test_corrupted_graph_detected(self):
         g = gen.path_graph(4)
-        # Corrupt the internal structures deliberately.
-        g._neighbors[0].append(3)  # asymmetric entry, not in edge set
+        # Corrupt the internal structures deliberately: an asymmetric row
+        # entry that the membership bits do not know about.
+        g._nbr[0, g._deg[0]] = 3
+        g._deg[0] += 1
         problems = validation.check_graph_invariants(g)
         assert problems  # at least one violation reported
 
@@ -26,7 +28,8 @@ class TestInvariantChecks:
 
     def test_corrupted_digraph_detected(self):
         g = dgen.directed_path(4)
-        g._out[0].append(3)
+        g._out[0, g._out_deg[0]] = 3
+        g._out_deg[0] += 1
         problems = validation.check_digraph_invariants(g)
         assert problems
 
