@@ -308,30 +308,6 @@ def _cmd_async(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_lint(args: argparse.Namespace) -> int:
-    from repro.quality import main as lint_main
-
-    argv: List[str] = list(args.paths)
-    if args.rules:
-        argv += ["--rules", *args.rules]
-    if args.no_registry:
-        argv.append("--no-registry")
-    if args.list_rules:
-        argv.append("--list-rules")
-    argv += ["--format", args.format]
-    if args.output:
-        argv += ["--output", args.output]
-    if args.changed_only:
-        argv.append("--changed-only")
-    if args.no_summaries:
-        argv.append("--no-summaries")
-    if args.summary_cache:
-        argv += ["--summary-cache", args.summary_cache]
-    for pattern in args.exclude or []:
-        argv += ["--exclude", pattern]
-    return lint_main(argv)
-
-
 def build_parser() -> argparse.ArgumentParser:
     """Build the argument parser (exposed for tests).
 
@@ -497,67 +473,26 @@ def build_parser() -> argparse.ArgumentParser:
     p_async.add_argument("--save", default=None, help="write results to a .json or .csv file")
     p_async.set_defaults(func=_cmd_async)
 
-    p_lint = sub.add_parser(
+    # Listed here for --help only: main() hands ``lint ARGS...`` to
+    # repro.quality.main unparsed, so repro-lint keeps the one flag list.
+    sub.add_parser(
         "lint",
-        help="repro-lint: determinism & resource-safety static analysis",
+        help="repro-lint: determinism & resource-safety static analysis "
+        "(same flags as python -m repro.quality)",
     )
-    p_lint.add_argument(
-        "paths",
-        nargs="*",
-        help="files or directories to lint (default: the installed repro package)",
-    )
-    p_lint.add_argument(
-        "--rules", nargs="+", default=None, help="run only these rule ids"
-    )
-    p_lint.add_argument(
-        "--no-registry",
-        action="store_true",
-        help="skip the registry-consistency cross-check",
-    )
-    p_lint.add_argument(
-        "--list-rules", action="store_true", help="list registered rules and exit"
-    )
-    p_lint.add_argument(
-        "--format", choices=["text", "json", "github"], default="text"
-    )
-    p_lint.add_argument(
-        "--output",
-        default=None,
-        metavar="PATH",
-        help="also write a JSON findings report to PATH (atomically)",
-    )
-    p_lint.add_argument(
-        "--changed-only",
-        action="store_true",
-        help="lint only files changed vs. the merge-base with main (plus untracked)",
-    )
-    p_lint.add_argument(
-        "--no-summaries",
-        action="store_true",
-        help="disable interprocedural function summaries (intraprocedural only)",
-    )
-    p_lint.add_argument(
-        "--summary-cache",
-        default=None,
-        metavar="PATH",
-        help="persist function summaries to PATH keyed by file sha256",
-    )
-    p_lint.add_argument(
-        "--exclude",
-        action="append",
-        default=None,
-        metavar="GLOB",
-        help="skip files matching GLOB (repeatable)",
-    )
-    p_lint.set_defaults(func=_cmd_lint)
 
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point."""
+    args_list = list(sys.argv[1:] if argv is None else argv)
+    if args_list[:1] == ["lint"]:
+        from repro.quality import main as lint_main
+
+        return lint_main(args_list[1:])
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(args_list)
     return args.func(args)
 
 

@@ -377,7 +377,6 @@ def transitive_closure_bits(bits: np.ndarray, n_bits: int) -> np.ndarray:
             # The pivot row aliases the output, but benignly: OR is
             # idempotent, so even if row k is merged into itself first the
             # other rows absorb the same (unchanged) word values.
-            # repro-lint: allow[kernel-contract]
             np.bitwise_or(reach, reach[k][None, :], out=reach, where=into_k[:, None])
     return reach
 

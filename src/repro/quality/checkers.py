@@ -347,8 +347,7 @@ class AtomicWriteChecker(Checker):
 
 
 # Importing this module is the "load the built-in rules" hook (framework
-# does it lazily); pull in the project-scope checker, the flow-sensitive
-# CFG/dataflow rules and the packed-kernel contract rule as part of that.
+# does it lazily); pull in the project-scope checker and the flow-sensitive
+# CFG/dataflow rules as part of that.
 from repro.quality import flow_checkers as _flow_checkers  # noqa: E402,F401
-from repro.quality import kernel_contracts as _kernel_contracts  # noqa: E402,F401
 from repro.quality import registry_check as _registry_check  # noqa: E402,F401

@@ -25,21 +25,12 @@ them statically:
   instances of classes that are not importable at module level: all of
   them fail to pickle only once a worker pool is actually in play.
 
-Since PR 10 the two resource/RNG rules are *interprocedural* when the
-run carries a project context (:class:`~repro.quality.summaries.ProjectContext`
-on :attr:`FileContext.project`): a call that resolves to an indexed
-project function is judged by that callee's summary — a helper that
-releases its argument on every path discharges the caller's obligation,
-a helper that merely reads it leaves the obligation live (the old
-"passing a handle to *any* call transfers ownership" hole), a helper
-that *returns* a fresh resource creates an obligation at the call site,
-and a callee that draws from a generator parameter counts as a parent
-draw.  Without the context (``lint_text``, ``--no-summaries``) every
-rule degrades to exactly the old per-function conservatism.
+All three rules are intra-procedural: every call is opaque, so a callee
+that releases a handle or draws from an escaped generator is not seen.
 
-Known imprecision (see ``docs/linting.md``): unresolved calls still
-transfer ownership, the single-copy ``finally`` merges continuations,
-and only locally-constructed (or summary-proven) generators are typed.
+Known imprecision (see ``docs/linting.md``): passing a handle to *any*
+call transfers ownership, the single-copy ``finally`` merges
+continuations, and only locally-constructed generators are typed.
 All three rules err quiet on unknowns and loud on paths they can prove.
 """
 
@@ -72,18 +63,6 @@ from repro.quality.framework import (
     _canonical_name,
     _import_aliases,
     register_checker,
-)
-from repro.quality.summaries import (
-    ACTION_HINT as _ACTION_HINT,
-    DRAW_METHODS as _DRAW_METHODS,
-    GENERATOR_CTORS as _GENERATOR_CTORS,
-    OS_RELEASES as _OS_RELEASES,
-    RELEASE_METHODS as _RELEASE_METHODS,
-    WRITE_MODE_CHARS as _WRITE_MODE_CHARS,
-    ModuleResolver,
-    call_argument_effects,
-    resource_of_call as _resource_of_call,
-    stored_names as _stored_names,
 )
 
 __all__ = [
@@ -226,11 +205,138 @@ def _is_submit_call(call: ast.Call) -> bool:
     return isinstance(call.func, ast.Attribute) and call.func.attr == "submit"
 
 
+# --------------------------------------------------------------------------- #
+# the resource / RNG model shared by the flow rules
+# --------------------------------------------------------------------------- #
+WRITE_MODE_CHARS = frozenset("wax+")
+
+#: method names that discharge the matching action on the receiver
+RELEASE_METHODS: Dict[str, str] = {
+    "close": "close",
+    "unlink": "unlink",
+    "shutdown": "shutdown",
+}
+
+#: ``os.*`` functions that discharge an action on their first argument
+OS_RELEASES: Dict[str, str] = {
+    "os.close": "close",
+    "os.unlink": "unlink",
+    "os.remove": "unlink",
+    "os.replace": "unlink",
+    "os.rename": "unlink",
+}
+
+ACTION_HINT: Dict[str, str] = {
+    "close": ".close()",
+    "unlink": ".unlink() (or os.unlink/os.replace for paths)",
+    "shutdown": ".shutdown()",
+}
+
+#: Generator methods that consume draws (advancing the stream)
+DRAW_METHODS = frozenset(
+    {
+        "random",
+        "integers",
+        "choice",
+        "shuffle",
+        "permutation",
+        "permuted",
+        "uniform",
+        "normal",
+        "standard_normal",
+        "standard_exponential",
+        "standard_gamma",
+        "exponential",
+        "poisson",
+        "binomial",
+        "beta",
+        "gamma",
+        "bytes",
+    }
+)
+
+GENERATOR_CTORS = frozenset({"numpy.random.default_rng", "numpy.random.Generator"})
+
+
 def _kwarg(call: ast.Call, name: str) -> Optional[ast.expr]:
     for kw in call.keywords:
         if kw.arg == name:
             return kw.value
     return None
+
+
+def _open_mode(call: ast.Call) -> Optional[str]:
+    """The constant mode string of an ``open``-family call, if present."""
+    candidates: List[ast.expr] = list(call.args[1:2])
+    mode_kw = _kwarg(call, "mode")
+    if mode_kw is not None:
+        candidates.append(mode_kw)
+    for candidate in candidates:
+        if isinstance(candidate, ast.Constant) and isinstance(candidate.value, str):
+            return candidate.value
+    return None
+
+
+def resource_of_call(
+    call: ast.Call, aliases: Dict[str, str]
+) -> Optional[Tuple[str, FrozenSet[str]]]:
+    """``(description, required actions)`` if ``call`` acquires a resource."""
+    name = _canonical_name(call.func, aliases)
+    if name is None:
+        if isinstance(call.func, ast.Attribute) and call.func.attr == "open":
+            mode = _open_mode(call)
+            if mode is not None and set(mode) & WRITE_MODE_CHARS:
+                return (f"writable .open(..., {mode!r}) handle", frozenset({"close"}))
+        return None
+    if name == "multiprocessing.shared_memory.SharedMemory":
+        create = _kwarg(call, "create")
+        if isinstance(create, ast.Constant) and create.value is True:
+            return (
+                "shared_memory.SharedMemory(create=True)",
+                frozenset({"close", "unlink"}),
+            )
+        return ("shared_memory.SharedMemory attachment", frozenset({"close"}))
+    if name in ("open", "os.fdopen") or name.endswith(".open"):
+        mode = _open_mode(call)
+        if mode is not None and set(mode) & WRITE_MODE_CHARS:
+            return (f"writable {name}(..., {mode!r}) handle", frozenset({"close"}))
+        return None
+    if name in (
+        "concurrent.futures.ProcessPoolExecutor",
+        "concurrent.futures.ThreadPoolExecutor",
+    ):
+        return (name.rsplit(".", 1)[1], frozenset({"shutdown"}))
+    return None
+
+
+def stored_names(expr: Optional[ast.AST]) -> Set[str]:
+    """Names whose *object itself* is stored/aliased by ``expr``.
+
+    ``shm`` in ``refs.append(shm)`` or ``pair = (fd, tmp)`` aliases the
+    resource; ``f`` in ``f.read()`` or ``f.name`` does not (only a
+    method/attribute of it is used).  Containers recurse, attribute and
+    subscript accesses stop.
+    """
+    names: Set[str] = set()
+    if expr is None:
+        return names
+    if isinstance(expr, ast.Name):
+        names.add(expr.id)
+    elif isinstance(expr, ast.Starred):
+        names |= stored_names(expr.value)
+    elif isinstance(expr, (ast.Tuple, ast.List, ast.Set)):
+        for element in expr.elts:
+            names |= stored_names(element)
+    elif isinstance(expr, ast.Dict):
+        for key in expr.keys:
+            names |= stored_names(key)
+        for value in expr.values:
+            names |= stored_names(value)
+    elif isinstance(expr, ast.IfExp):
+        names |= stored_names(expr.body) | stored_names(expr.orelse)
+    elif isinstance(expr, (ast.Await, ast.Yield, ast.YieldFrom)):
+        names |= stored_names(getattr(expr, "value", None))
+    return names
 
 
 # --------------------------------------------------------------------------- #
@@ -318,38 +424,13 @@ class ResourceLeakChecker(Checker):
 
     def check_file(self, ctx: FileContext) -> Iterator[Finding]:
         aliases = _import_aliases(ctx.tree)
-        resolver = (
-            ctx.project.resolver_for(ctx.display) if ctx.project is not None else None
-        )
         for scope in _iter_scopes(ctx.tree):
-            yield from self._check_scope(scope, aliases, ctx, resolver)
+            yield from self._check_scope(scope, aliases, ctx)
         yield from self._check_classes(ctx.tree, aliases, ctx)
 
     # -- local (flow-sensitive) obligations ----------------------------- #
-    def _returned_resource(
-        self,
-        call: ast.Call,
-        resolver: Optional[ModuleResolver],
-        scope_name: str,
-    ) -> Optional[Tuple[str, FrozenSet[str]]]:
-        """A fresh resource handed back by a summarised project callee."""
-        if resolver is None:
-            return None
-        resolved = resolver.resolve_call(call, scope_name)
-        if resolved is None or not resolved[1].trusted:
-            return None
-        returned = resolved[1].returns_resource
-        if returned is None:
-            return None
-        desc, actions = returned
-        return (f"{desc} (returned by {resolved[0].info.qualname})", actions)
-
     def _node_effects(
-        self,
-        node: CFGNode,
-        aliases: Dict[str, str],
-        resolver: Optional[ModuleResolver],
-        scope_name: str,
+        self, node: CFGNode, aliases: Dict[str, str]
     ) -> Optional[_NodeEffects]:
         stmt = node.stmt
         parts = node.evaluated()
@@ -361,9 +442,7 @@ class ResourceLeakChecker(Checker):
             value = stmt.value
             targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
             if isinstance(value, ast.Call):
-                resource = _resource_of_call(value, aliases) or self._returned_resource(
-                    value, resolver, scope_name
-                )
+                resource = resource_of_call(value, aliases)
                 canonical = _canonical_name(value.func, aliases)
                 if canonical == "tempfile.mkstemp" and len(targets) == 1:
                     target = targets[0]
@@ -390,33 +469,19 @@ class ResourceLeakChecker(Checker):
         for call in _iter_calls(parts):
             func = call.func
             canonical = _canonical_name(func, aliases)
-            if canonical in _OS_RELEASES:
+            if canonical in OS_RELEASES:
                 if call.args and isinstance(call.args[0], ast.Name):
-                    releases.add((call.args[0].id, _OS_RELEASES[canonical]))
+                    releases.add((call.args[0].id, OS_RELEASES[canonical]))
                 continue
             if (
                 isinstance(func, ast.Attribute)
                 and isinstance(func.value, ast.Name)
-                and func.attr in _RELEASE_METHODS
+                and func.attr in RELEASE_METHODS
             ):
-                releases.add((func.value.id, _RELEASE_METHODS[func.attr]))
-            resolved = (
-                resolver.resolve_call(call, scope_name)
-                if resolver is not None
-                else None
-            )
-            if resolved is not None:
-                # The callee's summary judges each argument: releases
-                # discharge, escapes transfer ownership, kept arguments
-                # leave the caller's obligation live — the precision the
-                # old "any call transfers ownership" rule threw away.
-                fx = call_argument_effects(call, resolved[0], resolved[1])
-                releases.update(fx.releases)
-                escapes |= fx.escapes
-            else:
-                # Ownership transfer: the handle passed to an unknown call.
-                for arg in _call_arg_exprs(call):
-                    escapes |= _stored_names(arg)
+                releases.add((func.value.id, RELEASE_METHODS[func.attr]))
+            # Ownership transfer: the handle itself passed to any call.
+            for arg in _call_arg_exprs(call):
+                escapes |= stored_names(arg)
 
         # Ownership transfer: returned, raised, yielded, aliased, deleted.
         if node.kind == "stmt":
@@ -424,21 +489,21 @@ class ResourceLeakChecker(Checker):
                 # Only the object itself transfers — ``return shm`` hands
                 # ownership to the caller, ``return shm.size`` does not
                 # (call arguments inside the value were judged above).
-                escapes |= _stored_names(stmt.value)
+                escapes |= stored_names(stmt.value)
             elif isinstance(stmt, ast.Raise):
                 for sub in ast.walk(stmt):
                     if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
                         escapes.add(sub.id)
             elif isinstance(stmt, ast.Delete):
                 for target in stmt.targets:
-                    escapes |= _stored_names(target)
+                    escapes |= stored_names(target)
             elif isinstance(stmt, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
-                escapes |= _stored_names(stmt.value)
+                escapes |= stored_names(stmt.value)
             elif isinstance(stmt, ast.Expr):
-                escapes |= _stored_names(stmt.value)  # bare yield/await
+                escapes |= stored_names(stmt.value)  # bare yield/await
         elif node.kind == "with" and isinstance(stmt, (ast.With, ast.AsyncWith)):
             for item in stmt.items:
-                escapes |= _stored_names(item.context_expr)
+                escapes |= stored_names(item.context_expr)
 
         gen_names = {g[0] for g in gens}
         rebinds = frozenset(name for name in assigned_names(node) if name not in gen_names)
@@ -456,12 +521,11 @@ class ResourceLeakChecker(Checker):
         scope: _Scope,
         aliases: Dict[str, str],
         ctx: FileContext,
-        resolver: Optional[ModuleResolver],
     ) -> Iterator[Finding]:
         effects: Dict[int, _NodeEffects] = {}
         any_gen = False
         for node in scope.cfg.stmt_nodes():
-            fx = self._node_effects(node, aliases, resolver, scope.name)
+            fx = self._node_effects(node, aliases)
             if fx is not None:
                 effects[node.index] = fx
                 any_gen = any_gen or bool(fx.gens)
@@ -481,7 +545,7 @@ class ResourceLeakChecker(Checker):
                 ctx,
                 line,
                 f"{desc} held by {var!r} may never reach "
-                f"{_ACTION_HINT[action]} {where} out of {scope.name} — release "
+                f"{ACTION_HINT[action]} {where} out of {scope.name} — release "
                 "it in a finally block (or hand ownership off explicitly)",
             )
 
@@ -496,7 +560,7 @@ class ResourceLeakChecker(Checker):
             satisfied: Set[Tuple[str, str]] = set()
             for sub in ast.walk(cls):
                 if isinstance(sub, ast.Assign) and isinstance(sub.value, ast.Call):
-                    resource = _resource_of_call(sub.value, aliases)
+                    resource = resource_of_call(sub.value, aliases)
                     if resource is not None:
                         for target in sub.targets:
                             if (
@@ -512,25 +576,25 @@ class ResourceLeakChecker(Checker):
                     func = sub.func
                     if (
                         isinstance(func, ast.Attribute)
-                        and func.attr in _RELEASE_METHODS
+                        and func.attr in RELEASE_METHODS
                         and isinstance(func.value, ast.Attribute)
                         and isinstance(func.value.value, ast.Name)
                         and func.value.value.id == "self"
                     ):
-                        satisfied.add((func.value.attr, _RELEASE_METHODS[func.attr]))
+                        satisfied.add((func.value.attr, RELEASE_METHODS[func.attr]))
                     canonical = _canonical_name(func, aliases)
-                    if canonical in _OS_RELEASES and sub.args:
+                    if canonical in OS_RELEASES and sub.args:
                         first = sub.args[0]
                         if (
                             isinstance(first, ast.Attribute)
                             and isinstance(first.value, ast.Name)
                             and first.value.id == "self"
                         ):
-                            satisfied.add((first.attr, _OS_RELEASES[canonical]))
+                            satisfied.add((first.attr, OS_RELEASES[canonical]))
             for attr, actions, line, desc in acquisitions:
                 missing = sorted(a for a in actions if (attr, a) not in satisfied)
                 if missing:
-                    hints = " and ".join(_ACTION_HINT[a] for a in missing)
+                    hints = " and ".join(ACTION_HINT[a] for a in missing)
                     yield self.finding(
                         ctx,
                         line,
@@ -582,27 +646,14 @@ class RngDisciplineChecker(Checker):
 
     def check_file(self, ctx: FileContext) -> Iterator[Finding]:
         aliases = _import_aliases(ctx.tree)
-        resolver = (
-            ctx.project.resolver_for(ctx.display) if ctx.project is not None else None
-        )
         for scope in _iter_scopes(ctx.tree):
-            yield from self._check_scope(scope, aliases, ctx, resolver)
+            yield from self._check_scope(scope, aliases, ctx)
 
     # -- construction provenance ---------------------------------------- #
     def _generator_def(
-        self,
-        node: CFGNode,
-        aliases: Dict[str, str],
-        resolver: Optional[ModuleResolver],
-        scope_name: str,
+        self, node: CFGNode, aliases: Dict[str, str]
     ) -> Optional[Tuple[str, Optional[ast.expr]]]:
-        """``(name, seed expr)`` if ``node`` binds a Generator to a Name.
-
-        With a project context, ``rng = make_rng(...)`` where the callee's
-        summary proves ``returns_spawn_rng`` also counts — the seed expr is
-        the call itself, which :meth:`_spawn_derived` then re-validates
-        through the same summary.
-        """
+        """``(name, seed expr)`` if ``node`` binds a Generator to a Name."""
         stmt = node.stmt
         if node.kind != "stmt" or not isinstance(stmt, ast.Assign):
             return None
@@ -611,17 +662,9 @@ class RngDisciplineChecker(Checker):
         value = stmt.value
         if not isinstance(value, ast.Call):
             return None
-        if _canonical_name(value.func, aliases) in _GENERATOR_CTORS:
+        if _canonical_name(value.func, aliases) in GENERATOR_CTORS:
             seed = value.args[0] if value.args else _kwarg(value, "seed")
             return (stmt.targets[0].id, seed)
-        if resolver is not None:
-            resolved = resolver.resolve_call(value, scope_name)
-            if (
-                resolved is not None
-                and resolved[1].trusted
-                and resolved[1].returns_spawn_rng
-            ):
-                return (stmt.targets[0].id, value)
         return None
 
     def _spawn_derived(
@@ -631,7 +674,6 @@ class RngDisciplineChecker(Checker):
         scope: _Scope,
         aliases: Dict[str, str],
         seen: Set[Tuple[str, int]],
-        resolver: Optional[ModuleResolver],
     ) -> bool:
         """Whether ``expr`` provably derives from spawn/spawn_key material."""
         if expr is None:
@@ -643,19 +685,9 @@ class RngDisciplineChecker(Checker):
             canonical = _canonical_name(func, aliases)
             if canonical == "numpy.random.SeedSequence":
                 return _kwarg(expr, "spawn_key") is not None
-            if resolver is not None:
-                resolved = resolver.resolve_call(expr, scope.name)
-                if (
-                    resolved is not None
-                    and resolved[1].trusted
-                    and resolved[1].returns_spawn_rng
-                ):
-                    return True
             return False
         if isinstance(expr, ast.Subscript):
-            return self._spawn_derived(
-                expr.value, at_node, scope, aliases, seen, resolver
-            )
+            return self._spawn_derived(expr.value, at_node, scope, aliases, seen)
         if isinstance(expr, ast.Name):
             key = (expr.id, at_node)
             if key in seen:
@@ -669,7 +701,7 @@ class RngDisciplineChecker(Checker):
                 if not isinstance(stmt, ast.Assign):
                     return False
                 if not self._spawn_derived(
-                    stmt.value, def_node.index, scope, aliases, seen, resolver
+                    stmt.value, def_node.index, scope, aliases, seen
                 ):
                     return False
             return True
@@ -682,7 +714,7 @@ class RngDisciplineChecker(Checker):
         """Names flowing into the submit payload, one aliasing hop deep."""
         names: Set[str] = set()
         for arg in _call_arg_exprs(call):
-            names |= _stored_names(arg)
+            names |= stored_names(arg)
         frontier = set(names)
         for _ in range(depth):
             expanded: Set[str] = set()
@@ -690,7 +722,7 @@ class RngDisciplineChecker(Checker):
                 for def_node in scope.reaching.def_nodes(name, at_node):
                     stmt = def_node.stmt
                     if isinstance(stmt, ast.Assign):
-                        expanded |= _stored_names(stmt.value)
+                        expanded |= stored_names(stmt.value)
             new = expanded - names
             if not new:
                 break
@@ -703,11 +735,10 @@ class RngDisciplineChecker(Checker):
         scope: _Scope,
         aliases: Dict[str, str],
         ctx: FileContext,
-        resolver: Optional[ModuleResolver],
     ) -> Iterator[Finding]:
         gen_defs: Dict[int, Tuple[str, Optional[ast.expr]]] = {}
         for node in scope.cfg.stmt_nodes():
-            found = self._generator_def(node, aliases, resolver, scope.name)
+            found = self._generator_def(node, aliases)
             if found is not None:
                 gen_defs[node.index] = found
         if not gen_defs:
@@ -733,9 +764,7 @@ class RngDisciplineChecker(Checker):
                     escaping.add(name)
                     for site in gen_sites:
                         _, seed = gen_defs[site]
-                        if not self._spawn_derived(
-                            seed, site, scope, aliases, set(), resolver
-                        ):
+                        if not self._spawn_derived(seed, site, scope, aliases, set()):
                             findings.append(
                                 self.finding(
                                     ctx,
@@ -766,7 +795,7 @@ class RngDisciplineChecker(Checker):
                 func = call.func
                 if (
                     isinstance(func, ast.Attribute)
-                    and func.attr in _DRAW_METHODS
+                    and func.attr in DRAW_METHODS
                     and isinstance(func.value, ast.Name)
                     and func.value.id in escaped
                 ):
@@ -776,22 +805,6 @@ class RngDisciplineChecker(Checker):
                         f"parent draws from generator {func.value.id!r} after it "
                         "escaped into a pool submit() — the worker owns that "
                         "stream now; respawn a child stream instead",
-                    )
-                    continue
-                if resolver is None or _is_submit_call(call):
-                    continue
-                resolved = resolver.resolve_call(call, scope.name)
-                if resolved is None:
-                    continue
-                fx = call_argument_effects(call, resolved[0], resolved[1])
-                for name in sorted(fx.draws & escaped):
-                    yield self.finding(
-                        ctx,
-                        node.line,
-                        f"parent passes escaped generator {name!r} to "
-                        f"{resolved[0].info.qualname}(), which draws from it — "
-                        "the worker owns that stream now; respawn a child "
-                        "stream instead",
                     )
 
 

@@ -39,7 +39,6 @@ import tokenize
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (
-    TYPE_CHECKING,
     ClassVar,
     Dict,
     Iterable,
@@ -52,9 +51,6 @@ from typing import (
     Type,
 )
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (summaries -> checkers -> here)
-    from repro.quality.summaries import ProjectContext
-
 __all__ = [
     "Finding",
     "FileContext",
@@ -64,8 +60,6 @@ __all__ = [
     "run_lint",
     "lint_text",
     "main",
-    "changed_python_files",
-    "SUMMARY_RULES",
     "github_annotation",
     "write_report",
     "PRAGMA_RULE",
@@ -106,19 +100,12 @@ class Finding:
 
 @dataclass
 class FileContext:
-    """Everything a file-scope checker needs about one source file.
-
-    ``project`` carries the interprocedural context (call graph +
-    function summaries over the whole linted file set) when the run was
-    made with summaries enabled; flow checkers fall back to their
-    intra-procedural conservatism when it is ``None``.
-    """
+    """Everything a file-scope checker needs about one source file."""
 
     path: Path
     display: str
     source: str
     tree: ast.Module
-    project: Optional["ProjectContext"] = None
 
 
 # --------------------------------------------------------------------------- #
@@ -374,11 +361,6 @@ def _excluded(display: str, patterns: Sequence[str]) -> bool:
     return False
 
 
-#: rules whose precision depends on the interprocedural summary context;
-#: a run selecting none of these skips building it entirely.
-SUMMARY_RULES = frozenset({"resource-leak", "rng-discipline"})
-
-
 def _make_checkers(rules: Optional[Sequence[str]]) -> List[Checker]:
     if rules is None:
         selected = sorted(CHECKER_REGISTRY)
@@ -397,9 +379,6 @@ def run_lint(
     rules: Optional[Sequence[str]] = None,
     include_project: bool = True,
     project_root: Optional[Path] = None,
-    use_summaries: bool = True,
-    summary_cache: Optional[Path] = None,
-    context_paths: Optional[Sequence[object]] = None,
     exclude: Sequence[str] = (),
 ) -> List[Finding]:
     """Lint ``paths`` (files or directories) and return unsuppressed findings.
@@ -407,12 +386,6 @@ def run_lint(
     ``rules`` selects a subset of :data:`CHECKER_REGISTRY` (default: all).
     ``include_project=False`` skips project-scope checkers (the registry
     cross-check), which is what fixture-corpus tests want.
-
-    ``use_summaries`` enables the interprocedural context: the call graph
-    and function summaries over the linted files *plus* ``context_paths``
-    (files indexed for resolution but not themselves linted — how
-    ``--changed-only`` keeps cross-file precision on a partial run).
-    ``summary_cache`` points at the sha256-keyed on-disk cache.
     ``exclude`` drops files whose display path matches any glob.
 
     Findings come back sorted by ``(path, line, rule)``; an empty list is
@@ -428,27 +401,10 @@ def run_lint(
     findings: List[Finding] = []
     sheets: Dict[str, PragmaSheet] = {}
 
-    lint_files = [
-        p for p in _iter_python_files(paths) if not _excluded(str(p), exclude)
-    ]
-
-    project: Optional["ProjectContext"] = None
-    if use_summaries and any(c.rule_id in SUMMARY_RULES for c in file_checkers):
-        from repro.quality.summaries import build_project
-
-        context_files = list(lint_files)
-        resolved = {p.resolve() for p in context_files}
-        for extra in _iter_python_files(context_paths or ()):
-            if _excluded(str(extra), exclude):
-                continue
-            extra_resolved = extra.resolve()
-            if extra_resolved not in resolved:
-                resolved.add(extra_resolved)
-                context_files.append(extra)
-        project = build_project(context_files, cache_path=summary_cache)
-
-    for path in lint_files:
+    for path in _iter_python_files(paths):
         display = str(path)
+        if _excluded(display, exclude):
+            continue
         try:
             source = path.read_text(encoding="utf-8")
         except OSError as exc:
@@ -466,9 +422,7 @@ def run_lint(
                 Finding(display, exc.lineno or 1, PARSE_RULE, f"syntax error: {exc.msg}")
             )
             continue
-        ctx = FileContext(
-            path=path, display=display, source=source, tree=tree, project=project
-        )
+        ctx = FileContext(path=path, display=display, source=source, tree=tree)
         raw: List[Finding] = []
         for checker in file_checkers:
             if checker.applies_to(path):
@@ -544,63 +498,6 @@ def _default_paths() -> List[str]:
     return [str(Path(package_file).parent)]
 
 
-def changed_python_files(scope_paths: Sequence[object]) -> Optional[List[Path]]:
-    """Python files changed vs the merge base with ``origin/main``/``main``.
-
-    Includes working-tree modifications and untracked files; deletions are
-    skipped.  The result is restricted to files under ``scope_paths`` and
-    returned relative to the current directory when possible (so displays
-    line up with a plain-path invocation).  ``None`` means git could not
-    answer — the caller should fall back to a full lint.
-    """
-    import os
-    import subprocess
-
-    def git(*cmd: str) -> "subprocess.CompletedProcess[str]":
-        return subprocess.run(
-            ["git", *cmd], capture_output=True, text=True, check=False
-        )
-
-    top = git("rev-parse", "--show-toplevel")
-    if top.returncode != 0:
-        return None
-    root = Path(top.stdout.strip())
-
-    base: Optional[str] = None
-    for candidate in ("origin/main", "main"):
-        merge_base = git("merge-base", "HEAD", candidate)
-        if merge_base.returncode == 0:
-            base = merge_base.stdout.strip()
-            break
-
-    names: Set[str] = set()
-    if base is not None:
-        diff = git("diff", "--name-only", "--diff-filter=d", base, "--", "*.py")
-        if diff.returncode != 0:
-            return None
-        names.update(line for line in diff.stdout.splitlines() if line)
-    untracked = git("ls-files", "--others", "--exclude-standard", "--", "*.py")
-    if untracked.returncode == 0:
-        names.update(line for line in untracked.stdout.splitlines() if line)
-    if base is None and untracked.returncode != 0:
-        return None
-
-    scope = [Path(str(s)).resolve() for s in scope_paths]
-    changed: List[Path] = []
-    for name in sorted(names):
-        path = root / name
-        if not path.is_file():
-            continue
-        resolved = path.resolve()
-        if not any(resolved == s or s in resolved.parents for s in scope):
-            continue
-        try:
-            changed.append(Path(os.path.relpath(resolved)))
-        except ValueError:  # pragma: no cover - cross-drive on windows
-            changed.append(resolved)
-    return changed
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """``python -m repro.quality`` entry point.  Exit 0 clean, 1 findings."""
     import argparse
@@ -653,37 +550,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="print registered rule ids with descriptions and exit",
     )
     parser.add_argument(
-        "--no-summaries",
-        action="store_true",
-        help=(
-            "disable the interprocedural summary context (flow rules fall "
-            "back to per-function conservatism)"
-        ),
-    )
-    parser.add_argument(
-        "--summary-cache",
-        default=None,
-        metavar="PATH",
-        help=(
-            "on-disk summary cache (JSON, keyed by file sha256 + dependency "
-            "shas); speeds up repeated runs and --changed-only"
-        ),
-    )
-    parser.add_argument(
         "--exclude",
         action="append",
         default=[],
         metavar="GLOB",
         help="skip files whose path matches GLOB (repeatable)",
-    )
-    parser.add_argument(
-        "--changed-only",
-        action="store_true",
-        help=(
-            "lint only files changed vs the merge base with origin/main "
-            "(plus untracked files); unchanged files are still indexed for "
-            "cross-file resolution"
-        ),
     )
     args = parser.parse_args(argv)
 
@@ -693,24 +564,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 0
 
     paths: Sequence[object] = args.paths or _default_paths()
-    context_paths: Optional[Sequence[object]] = None
-    if args.changed_only:
-        changed = changed_python_files(paths)
-        if changed is None:
-            print("repro-lint: --changed-only: git unavailable; linting everything")
-        else:
-            context_paths = paths
-            if not changed:
-                print("repro-lint: 0 findings (no changed files)")
-                return 0
-            paths = changed
     findings = run_lint(
         paths,
         rules=args.rules,
         include_project=not args.no_registry,
-        use_summaries=not args.no_summaries,
-        summary_cache=Path(args.summary_cache) if args.summary_cache else None,
-        context_paths=context_paths,
         exclude=args.exclude,
     )
     if args.output:

@@ -6,7 +6,10 @@ edge batches through both and demands identical answers.  The closure
 kernels are additionally checked against the original per-node Python BFS
 (kept in :mod:`repro.graphs.closure` as the oracle), and the packed
 membership storage of the array backend is pinned to the list backend's
-behaviour under batches containing self loops and duplicates.
+behaviour under batches containing self loops and duplicates.  Every
+kernel that returns or updates packed rows keeps two layout invariants:
+rows are ``words_for(n)`` words wide and the padding bits above ``n`` in
+the last word stay clear.
 """
 
 import json
@@ -14,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.push import PushDiscovery
@@ -300,6 +303,67 @@ class TestPackedMembershipStorage:
         assert g.membership_nbytes() * 8 == np.zeros((n, n), dtype=bool).nbytes
         d = ArrayDiGraph(n)
         assert d.membership_nbytes() == g.membership_nbytes()
+
+
+# --------------------------------------------------------------------------- #
+# packed layout invariants: row width and clear padding bits
+# --------------------------------------------------------------------------- #
+def _assert_packed_layout(bits, n):
+    """Rows are ``words_for(n)`` words wide; no bit at column >= n is set."""
+    bits = np.asarray(bits)
+    assert bits.dtype == np.uint64
+    assert bits.shape[-1] == bitset.words_for(n)
+    if n % 64 and bits.size:
+        padding = np.uint64((2**64 - 1) ^ ((1 << (n % 64)) - 1))
+        assert not (bits[..., -1] & padding).any()
+
+
+class TestPackedLayoutInvariants:
+    @FAST
+    @given(st.integers(min_value=1, max_value=140), st.integers(0, 2**31 - 1))
+    @example(n=1, seed=0)
+    @example(n=63, seed=1)
+    @example(n=64, seed=2)
+    @example(n=65, seed=3)
+    @example(n=128, seed=4)
+    @example(n=140, seed=5)
+    def test_kernels_keep_width_and_clear_padding(self, n, seed):
+        rng = np.random.default_rng(seed)
+        mat = rng.random((n, n)) < rng.random()
+        packed = bitset.pack_bool_matrix(mat)
+        _assert_packed_layout(packed, n)
+
+        rows = rng.integers(0, n, size=int(rng.integers(0, n + 1)))
+        _assert_packed_layout(bitset.or_rows(packed, rows), n)
+
+        dst = bitset.pack_bool_matrix(rng.random((n, n)) < 0.1)
+        k = int(rng.integers(1, 2 * n + 1))
+        bitset.rows_or_into(
+            dst, rng.integers(0, n, size=k), packed, rng.integers(0, n, size=k), chunk=7
+        )
+        _assert_packed_layout(dst, n)
+        lo = int(rng.integers(0, n))
+        hi = int(rng.integers(lo, n + 1))
+        bitset.or_into_range(dst, lo, packed[lo:hi])
+        _assert_packed_layout(dst, n)
+
+        reach = bitset.transitive_closure_bits(packed, n)
+        _assert_packed_layout(reach, n)
+        m = int(rng.integers(0, n + 1))
+        bitset.closure_add_edges(
+            reach, rng.integers(0, n, size=m), rng.integers(0, n, size=m)
+        )
+        _assert_packed_layout(reach, n)
+        _assert_packed_layout(bitset.reachable_bits(packed, int(rng.integers(0, n))), n)
+        _assert_packed_layout(bitset.transpose_bits(packed, n), n)
+
+        g = ArrayGraph(n)
+        for _ in range(3):
+            m = int(rng.integers(0, 2 * n + 1))
+            g.add_edges_batch_arrays(
+                rng.integers(0, n, size=m), rng.integers(0, n, size=m)
+            )
+            _assert_packed_layout(g.adjacency_bits(), n)
 
 
 class TestGoldenTraceRegression:

@@ -1,21 +1,24 @@
 """Tests for the CFG/dataflow layer and the three flow-sensitive lint rules.
 
-Four layers of coverage:
+Five layers of coverage:
 
 * CFG construction — path enumeration through branches, loops and
   ``try/finally`` (exceptional edges included);
 * reaching definitions — joins at branch merges, parameter entry defs;
 * fixture corpus — the ``bad_*`` twins fire, the ``allowed_*`` twins
   pass under all three flow rules together;
-* mutation — the seeded ``_SharedBlock`` unlink-removal mutant and a
-  parent-side RNG-reuse mutant each produce exactly one finding, and the
-  unmutated sources stay clean.
+* the resource model — which calls acquire what, which expressions
+  alias a handle, and how an opaque call ends a local obligation;
+* mutation — the seeded ``_SharedBlock`` unlink-removal mutant, a
+  parent-side RNG-reuse mutant and the runner pool-leak mutant each
+  produce exactly one finding, and the unmutated sources stay clean.
 """
 
 from __future__ import annotations
 
 import ast
 import json
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -23,7 +26,13 @@ import pytest
 from repro.quality import lint_text, run_lint
 from repro.quality.cfg import CFG, EXCEPTION, build_cfg
 from repro.quality.dataflow import ENTRY_DEF, ReachingDefinitions
-from repro.quality.framework import Finding, github_annotation, main
+from repro.quality.flow_checkers import resource_of_call, stored_names
+from repro.quality.framework import (
+    Finding,
+    _import_aliases,
+    github_annotation,
+    main,
+)
 
 DATA = Path(__file__).parent / "data" / "lint"
 SRC_ROOT = Path(__file__).parents[1] / "src" / "repro"
@@ -268,9 +277,121 @@ class TestFlowFixtureCorpus:
 
 
 # --------------------------------------------------------------------------- #
-# mutation: the two seeded mutants each produce exactly one finding
+# the resource model: acquisitions, aliasing stores, ownership transfers
+# --------------------------------------------------------------------------- #
+_ACQUIRE_HEADER = """\
+import os
+import tempfile
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from multiprocessing import shared_memory
+from pathlib import Path
+"""
+
+
+def _acquisition(expr: str):
+    tree = ast.parse(_ACQUIRE_HEADER + expr + "\n")
+    call = tree.body[-1].value
+    assert isinstance(call, ast.Call)
+    return resource_of_call(call, _import_aliases(tree))
+
+
+class TestResourceModel:
+    @pytest.mark.parametrize(
+        "expr, marker, actions",
+        [
+            ("shared_memory.SharedMemory(create=True, size=8)", "create=True", {"close", "unlink"}),
+            ("shared_memory.SharedMemory(name='seg')", "attachment", {"close"}),
+            # a non-constant create= is not provably an owner: attachment only
+            ("shared_memory.SharedMemory(create=flag, size=8)", "attachment", {"close"}),
+            ("open(path, 'w')", "'w'", {"close"}),
+            ("open(path, mode='ab')", "'ab'", {"close"}),
+            ("open(path, 'r+')", "'r+'", {"close"}),
+            ("os.fdopen(fd, 'wb')", "os.fdopen", {"close"}),
+            ("target.open(mode='x')", "target.open", {"close"}),
+            ("Path(p).open(mode='a')", ".open(", {"close"}),
+            ("ProcessPoolExecutor(max_workers=2)", "ProcessPoolExecutor", {"shutdown"}),
+            ("ThreadPoolExecutor()", "ThreadPoolExecutor", {"shutdown"}),
+        ],
+    )
+    def test_acquiring_calls(self, expr, marker, actions):
+        acquired = _acquisition(expr)
+        assert acquired is not None, expr
+        description, required = acquired
+        assert marker in description
+        assert required == frozenset(actions)
+
+    @pytest.mark.parametrize(
+        "expr",
+        [
+            "open(path)",
+            "open(path, 'rb')",
+            "open(path, mode)",  # mode unknown: quiet
+            "target.open()",
+            # mkstemp is tracked through its tuple unpacking, not here
+            "tempfile.mkstemp()",
+            "print(path, 'w')",
+        ],
+    )
+    def test_non_acquiring_calls(self, expr):
+        assert _acquisition(expr) is None
+
+    @pytest.mark.parametrize(
+        "expr, names",
+        [
+            ("shm", {"shm"}),
+            ("(fd, tmp)", {"fd", "tmp"}),
+            ("[head, *rest]", {"head", "rest"}),
+            ("{key: handle}", {"key", "handle"}),
+            ("a if flag else b", {"a", "b"}),
+            ("await handle", {"handle"}),
+            ("handle.read()", set()),
+            ("handle.name", set()),
+            ("handles[0]", set()),
+        ],
+    )
+    def test_stored_names(self, expr, names):
+        value = ast.parse(expr, mode="eval").body
+        assert stored_names(value) == names
+
+    def test_stored_names_of_nothing(self):
+        assert stored_names(None) == set()
+
+    @pytest.mark.parametrize(
+        "transfer",
+        ["register(h)", "registry.add(h)", "register(handle=h)", "register([h])"],
+    )
+    def test_argument_to_any_call_transfers_ownership(self, transfer):
+        # Every call is opaque, so a callee may keep or release the handle:
+        # the local obligation ends at the call (docs/linting.md, "Known
+        # imprecision").
+        src = f"def f(path, register, registry):\n    h = open(path, 'w')\n    {transfer}\n"
+        assert lint_text(src, rules=["resource-leak"]) == []
+
+    def test_without_a_transfer_the_leak_is_reported(self):
+        src = "def f(path):\n    h = open(path, 'w')\n    h.write('x')\n"
+        findings = lint_text(src, rules=["resource-leak"])
+        assert len(findings) == 1
+        assert "open" in findings[0].message
+
+    def test_opaque_factory_result_is_untracked(self):
+        # A pool built by a helper is not known to be a pool here, so a
+        # missing shutdown() is not reported (the intra-procedural limit).
+        src = (
+            "def make_pool():\n"
+            "    return ThreadPoolExecutor()\n"
+            "\n"
+            "def f(job):\n"
+            "    pool = make_pool()\n"
+            "    pool.submit(job)\n"
+        )
+        assert lint_text(src, rules=["resource-leak"]) == []
+
+
+# --------------------------------------------------------------------------- #
+# mutation: the seeded mutants each produce exactly one finding
 # --------------------------------------------------------------------------- #
 _SHARDING = SRC_ROOT / "simulation" / "sharding.py"
+_RUNNER = SRC_ROOT / "simulation" / "runner.py"
 
 _RNG_CLEAN = """\
 import numpy as np
@@ -314,12 +435,27 @@ class TestMutationCatches:
         assert "escaped" in findings[0].message
 
     def test_runner_pool_shutdown_stays_covered(self):
-        # the PR's satellite fix: a raising submit loop must not leak the pool
-        runner = SRC_ROOT / "simulation" / "runner.py"
+        # a raising submit loop must not leak the pool
         findings = lint_text(
-            runner.read_text(), str(runner), rules=["resource-leak"]
+            _RUNNER.read_text(), str(_RUNNER), rules=["resource-leak"]
         )
         assert findings == [], [str(f) for f in findings]
+
+    def test_runner_pool_leak_is_caught(self):
+        # Move the submit loop of _run_trials_pooled above its try: a
+        # raising submit() then skips the finally that shuts the pool down.
+        src = _RUNNER.read_text()
+        try_at = src.index("        try:\n            # Submitting inside the try")
+        loop_at = src.index("            for job in pending:\n", try_at)
+        submit = "futures[job[1]] = pool.submit(_run_single_trial, payload)\n"
+        loop_end = src.index(submit, loop_at) + len(submit)
+        loop = textwrap.indent(textwrap.dedent(src[loop_at:loop_end]), " " * 8)
+        mutant = src[:try_at] + loop + src[try_at:loop_at] + src[loop_end:]
+        ast.parse(mutant)
+        findings = lint_text(mutant, "runner_mutant.py", rules=["resource-leak"])
+        assert len(findings) == 1, [str(f) for f in findings]
+        assert findings[0].rule == "resource-leak"
+        assert "ProcessPoolExecutor" in findings[0].message
 
 
 # --------------------------------------------------------------------------- #
@@ -399,10 +535,8 @@ class TestOutputFormats:
 # the real tree, under the flow rules specifically
 # --------------------------------------------------------------------------- #
 class TestSourceTreeFlowClean:
-    def test_src_repro_passes_the_flow_rules(self):
-        findings = run_lint([SRC_ROOT], rules=FLOW_RULES, include_project=False)
-        assert findings == [], "\n" + "\n".join(str(f) for f in findings)
-
+    # src/repro itself is linted under every rule by
+    # tests/test_repro_lint.py::TestSourceTreeIsClean.
     def test_benchmarks_and_trace_generator_pass(self):
         targets = [
             Path(__file__).parents[1] / "benchmarks",

@@ -109,6 +109,12 @@ class TestPragmas:
         assert [f.rule for f in findings] == ["pragma"]
         assert "no-such-rule" in findings[0].message
 
+    def test_retired_rule_pragma_is_a_finding(self):
+        # kernel-contract was retired; a pragma still naming it is stale
+        findings = lint_text("x = 1  # repro-lint: allow[kernel-contract]\n")
+        assert [f.rule for f in findings] == ["pragma"]
+        assert "kernel-contract" in findings[0].message
+
     def test_unused_pragma_is_a_finding(self):
         findings = lint_text("x = 1  # repro-lint: allow[determinism]\n")
         assert [f.rule for f in findings] == ["pragma"]
@@ -233,9 +239,9 @@ class TestCli:
 
     def test_list_rules(self, capsys):
         assert main(["--list-rules"]) == 0
-        out = capsys.readouterr().out
-        for rule in FILE_RULES + ["registry-consistency"]:
-            assert rule in out
+        listed = {line.split()[0] for line in capsys.readouterr().out.splitlines()}
+        flow_rules = {"resource-leak", "rng-discipline", "pickle-safety"}
+        assert listed == set(FILE_RULES) | flow_rules | {"registry-consistency"}
 
     def test_rule_selection(self, capsys):
         code = main(
@@ -243,12 +249,38 @@ class TestCli:
         )
         assert code == 0  # determinism violations invisible to atomic-write
 
-    def test_repro_gossip_lint_subcommand(self, capsys):
+    @pytest.mark.parametrize(
+        "args, code",
+        [
+            (["--list-rules"], 0),
+            (["--rules", "determinism", "--no-registry", str(DATA / "bad_determinism.py")], 1),
+            ([str(DATA / "bad_determinism.py"), "--no-registry", "--rules", "atomic-write"], 0),
+            ([str(DATA / "bad_determinism.py"), "--no-registry", "--format", "github"], 1),
+            ([str(DATA), "--no-registry", "--rules", "determinism"], 1),
+            ([str(DATA), "--no-registry", "--rules", "determinism", "--exclude", "*/bad_*"], 0),
+        ],
+    )
+    def test_repro_gossip_lint_subcommand(self, capsys, args, code):
+        # `repro-gossip lint ARGS` hands ARGS to repro-lint unchanged.
         from repro.cli import main as cli_main
 
-        assert cli_main(["lint", "--list-rules"]) == 0
-        assert "determinism" in capsys.readouterr().out
-        assert cli_main(["lint", str(DATA / "bad_determinism.py"), "--no-registry"]) == 1
+        assert main(args) == code
+        direct = capsys.readouterr().out
+        assert cli_main(["lint", *args]) == code
+        assert capsys.readouterr().out == direct
+
+    @pytest.mark.parametrize(
+        "flag", [["--changed-only"], ["--no-summaries"], ["--summary-cache", "c.json"]]
+    )
+    @pytest.mark.parametrize("via_cli", [False, True])
+    def test_retired_flags_are_rejected(self, capsys, flag, via_cli):
+        from repro.cli import main as cli_main
+
+        argv = [str(DATA / "allowed_determinism.py"), *flag]
+        with pytest.raises(SystemExit) as excinfo:
+            cli_main(["lint", *argv]) if via_cli else main(argv)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 # --------------------------------------------------------------------------- #
