@@ -31,7 +31,6 @@ __all__ = [
     "packed_rows",
     "concat_rows",
     "rows_with_self",
-    "active_nodes_array",
 ]
 
 #: the methods every undirected baseline substrate must provide.
@@ -82,24 +81,6 @@ def packed_rows(graph) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
         return None
     rows, deg = rows_fn()
     return rows, deg, bits_fn()
-
-
-def active_nodes_array(process) -> np.ndarray:
-    """The round's participating nodes as an ``int64`` array, order preserved.
-
-    The baselines override ``step()`` wholesale, so they must consult
-    ``participating_nodes()`` themselves — this is what makes activation
-    schedules (:mod:`repro.core.scheduler`) restrict baseline work instead
-    of being a silent no-op.  Under the default full activation the result
-    is ``arange(n)`` and every bulk draw below is unchanged, which keeps
-    the golden traces byte-identical.
-    """
-    active = process.participating_nodes()
-    if isinstance(active, range):
-        return np.arange(active.start, active.stop, active.step or 1, dtype=np.int64)
-    if isinstance(active, np.ndarray):
-        return active.astype(np.int64, copy=False)
-    return np.asarray(list(active), dtype=np.int64).reshape(-1)
 
 
 def concat_rows(rows: np.ndarray, deg: np.ndarray, sel: np.ndarray) -> np.ndarray:

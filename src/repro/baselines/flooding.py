@@ -27,16 +27,11 @@ against the round-start snapshot regardless of the ``semantics`` setting
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple, Union
+from typing import List, Union
 
 import numpy as np
 
-from repro.baselines._packed import (
-    active_nodes_array,
-    concat_rows,
-    packed_rows,
-    require_undirected,
-)
+from repro.baselines._packed import concat_rows, packed_rows, require_undirected
 from repro.core.base import DiscoveryProcess, RoundResult, UpdateSemantics
 from repro.graphs import bitset
 
@@ -46,7 +41,8 @@ __all__ = ["NeighborhoodFlooding"]
 class NeighborhoodFlooding(DiscoveryProcess):
     """Full-neighbourhood flooding on an undirected graph."""
 
-    MESSAGES_PER_NODE = 1  # nominal; real accounting happens in step()
+    #: unused: a round charges one message per (sender, neighbour) delivery.
+    MESSAGES_PER_NODE = 1
 
     def __init__(
         self,
@@ -57,23 +53,16 @@ class NeighborhoodFlooding(DiscoveryProcess):
         require_undirected(graph, "NeighborhoodFlooding")
         super().__init__(graph, rng, semantics)
 
-    def propose(self, node: int) -> Optional[Tuple[int, int]]:  # pragma: no cover - unused
-        raise NotImplementedError("NeighborhoodFlooding overrides step() and never calls propose()")
-
-    def step(self) -> RoundResult:
-        """One synchronous flooding round restricted to the participating nodes."""
-        result = RoundResult(round_index=self.round_index)
-        active = active_nodes_array(self)
+    def _synchronous_round(self, result: RoundResult, active: np.ndarray) -> None:
+        """One flooding round restricted to the participating nodes."""
         packed = packed_rows(self.graph)
         if packed is not None:
             self._packed_round(result, active, *packed)
         else:
             self._reference_round(result, active)
-        self.round_index += 1
-        self.total_edges_added += result.num_added
-        self.total_messages += result.messages_sent
-        self.total_bits += result.bits_sent
-        return result
+
+    #: flooding runs against the round-start snapshot under either semantics.
+    _sequential_round = _synchronous_round
 
     def _reference_round(self, result: RoundResult, active: np.ndarray) -> None:
         """Per-node reference round: snapshot all knowledge, deliver payload by payload.
@@ -95,7 +84,6 @@ class NeighborhoodFlooding(DiscoveryProcess):
                     result.proposed_edges.append((v, w))
                     if graph.add_edge(v, w):
                         result.added_edges.append((v, w))
-        self._note_added_edges(result.added_edges)
 
     def _packed_round(
         self,
@@ -133,7 +121,6 @@ class NeighborhoodFlooding(DiscoveryProcess):
         bitset.clear_bits(merged, nodes, nodes)  # no self-knowledge edges
         us, vs = bitset.delta_edges(bits, merged, n)
         result.added_edges = graph.add_edges_batch_arrays(us, vs)
-        self._note_added_edges(result.added_edges)
 
     def is_converged(self) -> bool:
         """Flooding also converges to the complete graph."""

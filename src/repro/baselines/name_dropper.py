@@ -30,16 +30,11 @@ paths therefore produce identical seeded traces
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple, Union
+from typing import List, Tuple, Union
 
 import numpy as np
 
-from repro.baselines._packed import (
-    active_nodes_array,
-    packed_rows,
-    require_undirected,
-    rows_with_self,
-)
+from repro.baselines._packed import packed_rows, require_undirected, rows_with_self
 from repro.core.base import BatchProposals, DiscoveryProcess, RoundResult, UpdateSemantics
 
 __all__ = ["NameDropper"]
@@ -65,28 +60,13 @@ class NameDropper(DiscoveryProcess):
         require_undirected(graph, "NameDropper")
         super().__init__(graph, rng, semantics)
 
-    # The base-class single-edge propose/step machinery is replaced because a
-    # Name Dropper round transfers a whole set; we override step() directly.
-    def propose(self, node: int) -> Optional[Tuple[int, int]]:  # pragma: no cover - unused
-        raise NotImplementedError("NameDropper overrides step() and never calls propose()")
-
-    def step(self) -> RoundResult:
-        """One Name Dropper round under the configured update semantics."""
-        result = RoundResult(round_index=self.round_index)
-        active = active_nodes_array(self)
-        if self.semantics is UpdateSemantics.SEQUENTIAL:
-            self._sequential_round(result, active)
+    def _synchronous_round(self, result: RoundResult, active: np.ndarray) -> None:
+        """One synchronous round: the packed kernel on array graphs, else the reference loop."""
+        packed = packed_rows(self.graph)
+        if packed is not None:
+            self._packed_round(result, active, *packed)
         else:
-            packed = packed_rows(self.graph)
-            if packed is not None:
-                self._packed_round(result, active, *packed)
-            else:
-                self._reference_round(result, active)
-        self.round_index += 1
-        self.total_edges_added += result.num_added
-        self.total_messages += result.messages_sent
-        self.total_bits += result.bits_sent
-        return result
+            self._reference_round(result, active)
 
     def _sequential_round(self, result: RoundResult, active: np.ndarray) -> None:
         """Sequential ablation: participating nodes act in order on the evolving graph.
@@ -104,7 +84,6 @@ class NameDropper(DiscoveryProcess):
             v = self.graph.random_neighbor(u, self.rng)
             payload = list(nbrs) + [u]
             self._apply_action(u, v, payload, result)
-        self._note_added_edges(result.added_edges)
 
     def _reference_round(self, result: RoundResult, active: np.ndarray) -> None:
         """Synchronous reference round: per-node payload loop, bulk target draw.
@@ -124,7 +103,6 @@ class NameDropper(DiscoveryProcess):
             actions.append((u, v, list(graph.neighbors(u)) + [u]))
         for u, v, payload in actions:
             self._apply_action(u, v, payload, result)
-        self._note_added_edges(result.added_edges)
 
     def _packed_round(
         self,
@@ -165,7 +143,6 @@ class NameDropper(DiscoveryProcess):
             )
         )
         result.added_edges = graph.add_edges_batch_arrays(recipients, payload)
-        self._note_added_edges(result.added_edges)
 
     def _apply_action(self, u: int, v: int, payload: List[int], result: RoundResult) -> None:
         result.messages_sent += 1

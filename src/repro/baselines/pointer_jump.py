@@ -28,7 +28,7 @@ from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.baselines._packed import active_nodes_array, concat_rows, packed_rows
+from repro.baselines._packed import concat_rows, packed_rows
 from repro.core.base import BatchProposals, DiscoveryProcess, RoundResult, UpdateSemantics
 from repro.graphs.closure import transitive_closure_edges
 
@@ -61,9 +61,6 @@ class RandomPointerJump(DiscoveryProcess):
         else:
             self._missing = None
 
-    def propose(self, node: int) -> Optional[Tuple[int, int]]:  # pragma: no cover - unused
-        raise NotImplementedError("RandomPointerJump overrides step() and never calls propose()")
-
     def _neighbors(self, u: int) -> List[int]:
         if self._directed:
             return list(self.graph.out_neighbors(u))
@@ -75,23 +72,13 @@ class RandomPointerJump(DiscoveryProcess):
             return self.graph.random_out_neighbors(nodes, self.rng)
         return self.graph.random_neighbors(nodes, self.rng)
 
-    def step(self) -> RoundResult:
-        """One Random Pointer Jump round under the configured update semantics."""
-        result = RoundResult(round_index=self.round_index)
-        active = active_nodes_array(self)
-        if self.semantics is UpdateSemantics.SEQUENTIAL:
-            self._sequential_round(result, active)
+    def _synchronous_round(self, result: RoundResult, active: np.ndarray) -> None:
+        """One synchronous round: the packed kernel on array graphs, else the reference loop."""
+        packed = packed_rows(self.graph)
+        if packed is not None:
+            self._packed_round(result, active, *packed)
         else:
-            packed = packed_rows(self.graph)
-            if packed is not None:
-                self._packed_round(result, active, *packed)
-            else:
-                self._reference_round(result, active)
-        self.round_index += 1
-        self.total_edges_added += result.num_added
-        self.total_messages += result.messages_sent
-        self.total_bits += result.bits_sent
-        return result
+            self._reference_round(result, active)
 
     def _scalar_target(self, u: int) -> Optional[int]:
         """One ``rng.integers`` draw for the sequential per-node path."""
@@ -107,7 +94,6 @@ class RandomPointerJump(DiscoveryProcess):
             if v is None:
                 continue
             self._apply_action(u, self._neighbors(v), result)
-        self._note_added_edges(result.added_edges)
 
     def _reference_round(self, result: RoundResult, active: np.ndarray) -> None:
         """Synchronous reference round: snapshot payloads, then apply in node order.
@@ -125,7 +111,6 @@ class RandomPointerJump(DiscoveryProcess):
             actions.append((u, self._neighbors(v)))
         for u, payload in actions:
             self._apply_action(u, payload, result)
-        self._note_added_edges(result.added_edges)
 
     def _packed_round(
         self,
@@ -164,17 +149,11 @@ class RandomPointerJump(DiscoveryProcess):
                 np.repeat(np.arange(pullers.size, dtype=np.int64), counts)[keep],
             )
         )
-        added = graph.add_edges_batch_arrays(learners, payload)
-        result.added_edges = added
-        self._absorb_added(added)
-        self._note_added_edges(added)
+        result.added_edges = graph.add_edges_batch_arrays(learners, payload)
 
-    def _absorb_added(self, added: List[Tuple[int, int]]) -> None:
-        """Keep the directed closure-deficit set current for a batch of new edges.
-
-        Shared by the packed round and the sharded merge (which applies the
-        round's edges itself and then hands the new ones here).
-        """
+    def _note_added_edges(self, added: List[Tuple[int, int]]) -> None:
+        """Keep the directed closure-deficit set current for a batch of new edges."""
+        super()._note_added_edges(added)
         if self._missing is not None and added:
             self._missing.difference_update(added)
 
@@ -185,11 +164,8 @@ class RandomPointerJump(DiscoveryProcess):
             if w == u:
                 continue
             result.proposed_edges.append((u, w))
-            added = self.graph.add_edge(u, w)
-            if added:
+            if self.graph.add_edge(u, w):
                 result.added_edges.append((u, w))
-                if self._missing is not None:
-                    self._missing.discard((u, w))
 
     def is_converged(self) -> bool:
         """Complete graph (undirected) or transitive closure (directed)."""

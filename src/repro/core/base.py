@@ -1,26 +1,39 @@
-"""Process interface and the synchronous round engine.
+"""Process interface and the one round skeleton every process runs on.
 
 The paper's model is synchronous: in round ``t`` every node acts on the
 *same* snapshot ``G_t`` and all added edges appear together in ``G_{t+1}``.
-:class:`DiscoveryProcess` implements that contract.  Because the graphs
-are append-only and proposals are sampled before any edge is applied, the
-synchronous semantics is achieved without copying the graph: a round
-first collects every node's proposed edge(s) and only then applies them.
+Because the graphs are append-only and a synchronous round samples every
+proposal before it applies any, that contract holds without copying the
+graph.
 
-Synchronous rounds are executed through :meth:`DiscoveryProcess.propose_batch`,
-which the concrete processes override with vectorized kernels (one bulk RNG
-draw per sampling stage, whole-array index math, a batched edge insert).
-The base implementation falls back to calling :meth:`propose` per node, so
-processes that customise ``propose`` — the faulty variants' churn wrapper,
-user subclasses — keep their exact per-node behaviour.  The bulk draw
-convention is shared by the array graph substrate and the reference-oracle
-list graphs (see :mod:`repro.graphs.sampling`), which makes seeded traces
-identical on both under ``UpdateSemantics.SYNCHRONOUS``.
+:meth:`DiscoveryProcess.step` is the only place a round is defined.  It
+turns ``participating_nodes()`` into an ``int64`` array once, runs either
+:meth:`~DiscoveryProcess._synchronous_round` (the paper's model) or
+:meth:`~DiscoveryProcess._sequential_round` (an ablation: nodes act in
+order and see edges added earlier in the same round), and ends in
+:meth:`~DiscoveryProcess._finish_round`, which hands the round's new edges
+to :meth:`~DiscoveryProcess._note_added_edges` and advances the round
+index and the running totals.  The sharded engine ends its rounds in the
+same ``_finish_round``.
 
-A ``sequential`` update mode is provided as an ablation (nodes act in index
-order and see edges added earlier in the same round) — the paper's proofs
-are for the synchronous mode, and experiment E1/E2 variants measure the
-difference empirically.  The sequential mode always uses the per-node path.
+A process extends exactly one of three points:
+
+* ``propose_batch`` — a vectorized sampling kernel for the synchronous
+  round (push, pull, the directed walk, the faulty variants).  The base
+  implementation calls :meth:`~DiscoveryProcess.propose` per node, so a
+  customised ``propose`` (the churn wrapper, a user subclass) keeps its
+  exact per-node draws;
+* a whole round — ``_synchronous_round`` / ``_sequential_round`` — for
+  the payload baselines, whose messages carry neighbour sets rather than
+  one proposed edge;
+* ``_note_added_edges`` — per-edge state beyond the graph (the directed
+  processes' closure deficit), fed by every insertion path: both round
+  lanes, the sharded merge and the public
+  :meth:`~DiscoveryProcess.apply_edge`.
+
+The bulk draw convention is shared by the array graph substrate and the
+reference-oracle list graphs (see :mod:`repro.graphs.sampling`), which
+makes seeded traces identical on both.
 """
 
 from __future__ import annotations
@@ -61,6 +74,15 @@ def id_bits(n: int) -> int:
     return max(1, (max(int(n), 2) - 1).bit_length())
 
 
+def _node_array(nodes: Iterable[int]) -> np.ndarray:
+    """``nodes`` as an ``int64`` array, order preserved (``range`` without a Python loop)."""
+    if isinstance(nodes, range):
+        return np.arange(nodes.start, nodes.stop, nodes.step, dtype=np.int64)
+    if not isinstance(nodes, np.ndarray):
+        nodes = list(nodes)
+    return np.asarray(nodes, dtype=np.int64).reshape(-1)
+
+
 class UpdateSemantics(str, enum.Enum):
     """When edges proposed during a round become visible.
 
@@ -85,11 +107,9 @@ class RoundResult:
         Zero-based index of the round that was executed.
     proposed_edges:
         Every edge proposed by some node this round (including duplicates
-        and already-present edges), in node order.  Length equals the
-        number of participating nodes for single-proposal processes.
-        Materialised lazily when the round came from a vectorized kernel —
-        hot convergence loops never touch it, so they never pay for the
-        tuple conversion.
+        and already-present edges), in node order.  Materialised lazily
+        when the round came from a vectorized kernel — hot convergence
+        loops never touch it, so they never pay for the tuple conversion.
     added_edges:
         The subset of proposals that were genuinely new edges.
     messages_sent:
@@ -100,22 +120,13 @@ class RoundResult:
 
     __slots__ = ("round_index", "added_edges", "messages_sent", "bits_sent", "_proposed", "_batch")
 
-    def __init__(
-        self,
-        round_index: int,
-        proposed_edges: Optional[List[Edge]] = None,
-        added_edges: Optional[List[Edge]] = None,
-        messages_sent: int = 0,
-        bits_sent: int = 0,
-    ) -> None:
+    def __init__(self, round_index: int) -> None:
         self.round_index = round_index
-        self._proposed: Optional[List[Edge]] = (
-            proposed_edges if proposed_edges is not None else []
-        )
+        self._proposed: Optional[List[Edge]] = []
         self._batch: Optional["BatchProposals"] = None
-        self.added_edges: List[Edge] = added_edges if added_edges is not None else []
-        self.messages_sent = messages_sent
-        self.bits_sent = bits_sent
+        self.added_edges: List[Edge] = []
+        self.messages_sent = 0
+        self.bits_sent = 0
 
     @property
     def proposed_edges(self) -> List[Edge]:
@@ -123,11 +134,6 @@ class RoundResult:
         if self._proposed is None:
             self._proposed = self._batch.edges() if self._batch is not None else []
         return self._proposed
-
-    @proposed_edges.setter
-    def proposed_edges(self, value: List[Edge]) -> None:
-        self._proposed = value
-        self._batch = None
 
     def attach_batch(self, batch: "BatchProposals") -> None:
         """Record the array-form proposals, deferring tuple conversion."""
@@ -147,11 +153,10 @@ class RoundResult:
 
 
 class BatchProposals:
-    """Array-form result of a vectorized synchronous round's sampling stage.
+    """Array-form result of a synchronous round's sampling stage.
 
-    The vectorized ``propose_batch`` kernels return this instead of a
-    per-node pairs list so the round engine can stay in NumPy all the way
-    to the batched edge insert.  ``us``/``vs`` hold the endpoints of the
+    Every ``propose_batch`` returns this, so the round engine stays in
+    NumPy all the way to the batched edge insert.  ``us``/``vs`` hold the endpoints of the
     *valid* proposals only, in node order; ``pos`` maps each proposal back
     to its index among the round's ``count`` participating nodes (used by
     the faulty variants to align their bulk failure draw).
@@ -202,10 +207,14 @@ class RunResult:
 class DiscoveryProcess(abc.ABC):
     """Common machinery for all discovery processes.
 
-    Subclasses implement :meth:`propose` — the per-node random proposal that
-    defines the process — and :meth:`is_converged`.  The base class owns the
-    round loop, the update semantics, message accounting, and the
-    participation mask used by the robustness variants.
+    :meth:`step` is the one round skeleton (see the module docstring):
+    participants as an ``int64`` array, then :meth:`_synchronous_round` or
+    :meth:`_sequential_round`, then :meth:`_finish_round`.  Subclasses
+    implement :meth:`is_converged` and extend exactly one of
+    :meth:`propose_batch` (with the matching scalar :meth:`propose`), the
+    round methods, or :meth:`_note_added_edges`.  Both base round lanes
+    charge :attr:`MESSAGES_PER_NODE` messages of one node ID each per
+    participating node.
 
     Parameters
     ----------
@@ -214,7 +223,7 @@ class DiscoveryProcess(abc.ABC):
         if the caller needs to keep the original.  An :class:`ArrayGraph`
         (what the generators build) runs the vectorized kernels; a
         reference-oracle :class:`DynamicGraph` with the same neighbour rows
-        produces the identical seeded trace under synchronous semantics.
+        produces the identical seeded trace.
     rng:
         A :class:`numpy.random.Generator` or an integer seed.  Every random
         choice of the process flows through this generator.
@@ -251,86 +260,70 @@ class DiscoveryProcess(abc.ABC):
         self._min_deg_dirty = True
 
     # ------------------------------------------------------------------ #
-    # to be provided by subclasses
+    # the process definition
     # ------------------------------------------------------------------ #
-    @abc.abstractmethod
     def propose(self, node: int) -> Optional[Edge]:
         """Return the edge node ``node`` proposes this round, or None.
 
         The proposal must be sampled from the process's local rule using
         only ``self.graph`` and ``self.rng``.  Returning ``None`` means the
         node makes no proposal (e.g. an isolated node in a variant).
+        Processes that define whole rounds instead (the payload baselines)
+        have no per-node rule.
         """
+        raise NotImplementedError(
+            f"{type(self).__name__} defines whole rounds, not per-node proposals"
+        )
 
     @abc.abstractmethod
     def is_converged(self) -> bool:
         """True when the process has reached its absorbing state."""
 
-    # ------------------------------------------------------------------ #
-    # hooks that subclasses may override
-    # ------------------------------------------------------------------ #
     def participating_nodes(self) -> Iterable[int]:
         """Nodes that act this round (all nodes by default)."""
         return self.graph.nodes()
 
-    def messages_for_proposal(self, node: int, edge: Optional[Edge]) -> Tuple[int, int]:
-        """Return ``(messages, bits)`` accounting for one node's action this round.
-
-        The default charges :attr:`MESSAGES_PER_NODE` messages of one node
-        ID each, matching the paper's O(log n)-bits-per-message model.
-        Variants with no proposal still pay for their attempted messages.
-        """
-        return self.MESSAGES_PER_NODE, self.MESSAGES_PER_NODE * self._id_bits
-
-    def apply_edge(self, edge: Edge) -> bool:
-        """Insert a proposed edge into the graph; returns True when new."""
-        return self.graph.add_edge(*edge)
-
-    def propose_batch(
-        self, nodes: Iterable[int]
-    ) -> Union[List[Tuple[int, Optional[Edge]]], BatchProposals]:
+    def propose_batch(self, nodes: np.ndarray) -> BatchProposals:
         """Collect every node's proposal for one synchronous round.
 
-        The base implementation calls :meth:`propose` per node and returns
-        ``(node, proposal)`` pairs in node order, one per participating node
-        (``None`` proposals included — they still pay their messages).  The
-        concrete processes override this with vectorized kernels that return
-        a :class:`BatchProposals` instead, and fall back here whenever
-        ``propose`` or the message accounting has been customised (so
-        wrappers that patch ``propose`` keep working unchanged).
+        The base implementation calls :meth:`propose` per node, in order, so
+        a customised ``propose`` keeps its exact per-node draws.  The
+        concrete processes override this with vectorized kernels and fall
+        back here whenever ``propose`` has been customised.
         """
-        return [(node, self.propose(node)) for node in nodes]
+        us: List[int] = []
+        vs: List[int] = []
+        pos: List[int] = []
+        for k, node in enumerate(nodes.tolist()):
+            edge = self.propose(node)
+            if edge is not None:
+                us.append(edge[0])
+                vs.append(edge[1])
+                pos.append(k)
+        return BatchProposals(
+            nodes.shape[0],
+            np.asarray(us, dtype=np.int64),
+            np.asarray(vs, dtype=np.int64),
+            np.asarray(pos, dtype=np.int64),
+        )
 
-    def apply_proposals(
-        self, proposed: Optional[List[Edge]], batch: Optional[BatchProposals] = None
-    ) -> List[Edge]:
-        """Apply a round's proposals to the graph; return the new edges in order.
+    def apply_proposals(self, batch: BatchProposals) -> List[Edge]:
+        """Insert a synchronous round's proposals; return the new edges in order.
 
-        Uses the graph's batched insert when :meth:`apply_edge` has not been
-        customised (the batch contract matches sequential first-occurrence
-        application exactly) — staying in array form when the proposals came
-        from a vectorized kernel; otherwise applies edge by edge through
-        :meth:`apply_edge` so subclass bookkeeping stays correct.
-        ``proposed=None`` means "derive the tuples from ``batch`` if a
-        non-array path actually needs them".  Every path funnels the new
-        edges through :meth:`_note_added_edges` so the cached convergence
-        counters stay current without rescanning the graph.
+        The batched insert matches sequential first-occurrence application
+        exactly.  Per-edge state is updated later, by :meth:`_finish_round`.
         """
-        added: Optional[List[Edge]] = None
-        if "apply_edge" not in self.__dict__ and type(self).apply_edge is DiscoveryProcess.apply_edge:
-            if batch is not None:
-                arrays = getattr(self.graph, "add_edges_batch_arrays", None)
-                if arrays is not None:
-                    added = arrays(batch.us, batch.vs)
-            if added is None:
-                tuple_batch = getattr(self.graph, "add_edges_batch", None)
-                if tuple_batch is not None:
-                    added = tuple_batch(proposed if proposed is not None else batch.edges())
-        if added is None:
-            if proposed is None:
-                proposed = batch.edges() if batch is not None else []
-            added = [edge for edge in proposed if self.apply_edge(edge)]
-        self._note_added_edges(added)
+        return self.graph.add_edges_batch_arrays(batch.us, batch.vs)
+
+    def apply_edge(self, edge: Edge) -> bool:
+        """Insert one edge outside a round; returns True when new.
+
+        The new edge goes through :meth:`_note_added_edges`, so per-edge
+        state (degree counters, a closure deficit) stays current.
+        """
+        added = self.graph.add_edge(*edge)
+        if added:
+            self._note_added_edges([edge])
         return added
 
     # ------------------------------------------------------------------ #
@@ -342,10 +335,10 @@ class DiscoveryProcess(abc.ABC):
         Built lazily from the graph on first use, then patched in
         O(#added edges) per round by :meth:`_note_added_edges` instead of
         recomputed/copied O(n) every convergence check.  Self-healing: if
-        the graph was mutated outside the round engine (a process that
-        overrides :meth:`step`, direct ``add_edge`` calls), the cached edge
-        count disagrees and the vector is rebuilt from the graph.  Callers
-        must not mutate the returned array.
+        the graph was mutated outside the round engine (direct
+        ``graph.add_edge`` calls), the cached edge count disagrees and the
+        vector is rebuilt from the graph.  Callers must not mutate the
+        returned array.
         """
         m = self.graph.number_of_edges()
         if self._deg_cache is None or self._deg_cache_edges != m:
@@ -370,7 +363,12 @@ class DiscoveryProcess(abc.ABC):
         return self._min_deg
 
     def _note_added_edges(self, added: List[Edge]) -> None:
-        """Patch the cached degree counters for one round's new edges."""
+        """Fold genuinely-new edges into per-edge state; here, the degree counters.
+
+        Every insertion path ends here: :meth:`_finish_round` (both round
+        lanes and the sharded merge) and :meth:`apply_edge`.  Subclasses
+        with more per-edge state extend this and call ``super()``.
+        """
         if self._deg_cache is None:
             return
         if not added:
@@ -392,56 +390,43 @@ class DiscoveryProcess(abc.ABC):
         """
         return "propose" not in self.__dict__ and type(self).propose is owner.propose
 
-    def _default_accounting(self) -> bool:
-        """True when message accounting follows the flat per-node default."""
-        return (
-            "messages_for_proposal" not in self.__dict__
-            and type(self).messages_for_proposal is DiscoveryProcess.messages_for_proposal
-        )
-
     # ------------------------------------------------------------------ #
-    # the round engine
+    # the round skeleton
     # ------------------------------------------------------------------ #
     def step(self) -> RoundResult:
-        """Execute one synchronous (or sequential) round and return its result."""
+        """Execute one round under the configured update semantics and return its result."""
         result = RoundResult(round_index=self.round_index)
+        active = _node_array(self.participating_nodes())
         if self.semantics is UpdateSemantics.SYNCHRONOUS:
-            proposals = self.propose_batch(self.participating_nodes())
-            if isinstance(proposals, BatchProposals):
-                array_batch: Optional[BatchProposals] = proposals
-                pairs: List[Tuple[int, Optional[Edge]]] = []
-                participants = proposals.count
-                result.attach_batch(proposals)
-                proposed: Optional[List[Edge]] = None
-            else:
-                array_batch = None
-                pairs = proposals
-                participants = len(pairs)
-                proposed = [edge for _, edge in pairs if edge is not None]
-                result.proposed_edges = proposed
-            if self._default_accounting():
-                result.messages_sent = self.MESSAGES_PER_NODE * participants
-                result.bits_sent = result.messages_sent * self._id_bits
-            else:
-                # Only the pairs lane can reach here: the vectorized kernels
-                # fall back to the per-node path under custom accounting.
-                for node, edge in pairs:
-                    msgs, bits = self.messages_for_proposal(node, edge)
-                    result.messages_sent += msgs
-                    result.bits_sent += bits
-            result.added_edges = self.apply_proposals(proposed, batch=array_batch)
-        else:  # sequential ablation
-            for node in self.participating_nodes():
-                edge = self.propose(node)
-                msgs, bits = self.messages_for_proposal(node, edge)
-                result.messages_sent += msgs
-                result.bits_sent += bits
-                if edge is None:
-                    continue
-                result.proposed_edges.append(edge)
-                if self.apply_edge(edge):
-                    result.added_edges.append(edge)
-            self._note_added_edges(result.added_edges)
+            self._synchronous_round(result, active)
+        else:
+            self._sequential_round(result, active)
+        return self._finish_round(result)
+
+    def _synchronous_round(self, result: RoundResult, active: np.ndarray) -> None:
+        """Sample every participant's proposal against ``G_t``, then insert them together."""
+        batch = self.propose_batch(active)
+        result.attach_batch(batch)
+        result.messages_sent = self.MESSAGES_PER_NODE * batch.count
+        result.bits_sent = result.messages_sent * self._id_bits
+        result.added_edges = self.apply_proposals(batch)
+
+    def _sequential_round(self, result: RoundResult, active: np.ndarray) -> None:
+        """Ablation: participants act in order, each seeing the edges added before it."""
+        graph = self.graph
+        for node in active.tolist():
+            edge = self.propose(node)
+            if edge is None:
+                continue
+            result.proposed_edges.append(edge)
+            if graph.add_edge(*edge):
+                result.added_edges.append(edge)
+        result.messages_sent = self.MESSAGES_PER_NODE * active.shape[0]
+        result.bits_sent = result.messages_sent * self._id_bits
+
+    def _finish_round(self, result: RoundResult) -> RoundResult:
+        """Fold the round's new edges into per-edge state and advance the counters."""
+        self._note_added_edges(result.added_edges)
         self.round_index += 1
         self.total_edges_added += result.num_added
         self.total_messages += result.messages_sent

@@ -14,7 +14,7 @@ and an ``Ω(n² log n)`` weakly-connected lower bound; Theorem 15 gives an
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Set, Tuple, Union
+from typing import List, Optional, Set, Tuple, Union
 
 import numpy as np
 
@@ -95,69 +95,34 @@ class DirectedTwoHopWalk(DiscoveryProcess):
             return None
         return node, w
 
-    def propose_batch(self, nodes: Iterable[int]):
-        """Vectorized directed round: both hops of every walk in two bulk draws."""
-        if (
-            not self._propose_is(DirectedTwoHopWalk)
-            or not self._default_accounting()
-            or not hasattr(self.graph, "random_out_neighbors")
-        ):
-            return super().propose_batch(nodes)
-        return self._propose_batch_kernel(nodes)
+    def propose_batch(self, nodes: np.ndarray) -> BatchProposals:
+        """Vectorized directed round: both hops of every walk in two bulk draws.
 
-    def _propose_batch_kernel(self, nodes: Iterable[int]) -> BatchProposals:
-        """The raw kernel: ``-1`` sentinels chain dead ends through both hops."""
+        ``-1`` sentinels chain dead ends through both hops.
+        """
+        if not self._propose_is(DirectedTwoHopWalk):
+            return super().propose_batch(nodes)
         graph = self.graph
-        nodes = np.asarray(nodes, dtype=np.int64)
         vs = graph.random_out_neighbors(nodes, self.rng)
         ws = graph.random_out_neighbors(vs, self.rng)
         valid = (ws >= 0) & (ws != nodes)
         pos = np.flatnonzero(valid)
         return BatchProposals(nodes.shape[0], nodes[pos], ws[pos], pos)
 
-    def _absorb_added(self, added: List[Tuple[int, int]]) -> None:
+    def _note_added_edges(self, added: List[Tuple[int, int]]) -> None:
         """Fold genuinely-new edges into the deficit counter and live closure.
 
-        One batched membership test against the packed target rows replaces
-        the old per-edge set discards; the live closure's update is O(1)
-        per edge already implied (the walk never proposes anything else).
-        Every insertion path — per-edge :meth:`apply_edge`, the batched
-        synchronous round, the sharded merge — funnels its new edges here.
+        One batched membership test against the packed target rows per
+        call; the live closure's update is O(1) per edge already implied
+        (the walk never proposes anything else).
         """
+        super()._note_added_edges(added)
         if not added:
             return
         arr = np.asarray(added, dtype=np.int64).reshape(-1, 2)
         in_target = bitset.get_bits(self._target_bits, arr[:, 0], arr[:, 1])
         self._deficit -= int(in_target.sum())
         self._closure.add_edges(arr[:, 0], arr[:, 1])
-
-    def apply_edge(self, edge: Tuple[int, int]) -> bool:
-        """Insert the edge and keep the closure-deficit counter up to date."""
-        added = self.graph.add_edge(*edge)
-        if added:
-            self._absorb_added([edge])
-        return added
-
-    def apply_proposals(
-        self,
-        proposed: Optional[List[Tuple[int, int]]],
-        batch: Optional[BatchProposals] = None,
-    ) -> List[Tuple[int, int]]:
-        """Batched insert plus closure-deficit bookkeeping over the new edges only."""
-        if "apply_edge" in self.__dict__ or type(self).apply_edge is not DirectedTwoHopWalk.apply_edge:
-            if proposed is None:
-                proposed = batch.edges() if batch is not None else []
-            added = [edge for edge in proposed if self.apply_edge(edge)]
-        else:
-            if batch is not None and hasattr(self.graph, "add_edges_batch_arrays"):
-                added = self.graph.add_edges_batch_arrays(batch.us, batch.vs)
-            elif hasattr(self.graph, "add_edges_batch"):
-                added = self.graph.add_edges_batch(proposed if proposed is not None else [])
-            else:
-                added = [edge for edge in (proposed or []) if self.graph.add_edge(*edge)]
-            self._absorb_added(added)
-        self._note_added_edges(added)
-        return added
 
     def is_converged(self) -> bool:
         """True when every transitive-closure edge of ``G_0`` is present."""

@@ -15,7 +15,7 @@ complete graph in ``O(n log² n)`` rounds w.h.p.; Theorem 13 gives the
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Tuple, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
@@ -63,17 +63,13 @@ class PullDiscovery(DiscoveryProcess):
             return None
         return node, w
 
-    def propose_batch(self, nodes: Iterable[int]):
+    def propose_batch(self, nodes: np.ndarray) -> BatchProposals:
         """Vectorized pull round: both hops of every node's walk in two bulk draws."""
-        if (
-            not self._propose_is(PullDiscovery)
-            or not self._default_accounting()
-            or not hasattr(self.graph, "random_neighbors")
-        ):
+        if not self._propose_is(PullDiscovery):
             return super().propose_batch(nodes)
         return self._propose_batch_kernel(nodes)
 
-    def _propose_batch_kernel(self, nodes: Iterable[int]) -> BatchProposals:
+    def _propose_batch_kernel(self, nodes: np.ndarray) -> BatchProposals:
         """The raw kernel: hop one over all nodes, hop two over the sampled ``v``s.
 
         The second hop chains through the ``-1`` sentinel, so isolated nodes
@@ -81,7 +77,6 @@ class PullDiscovery(DiscoveryProcess):
         per-node reference path) without ever touching a neighbour row.
         """
         graph = self.graph
-        nodes = np.asarray(nodes, dtype=np.int64)
         vs = graph.random_neighbors(nodes, self.rng)
         ws = graph.random_neighbors(vs, self.rng)
         valid = (vs >= 0) & (ws >= 0) & (ws != nodes)

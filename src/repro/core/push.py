@@ -14,7 +14,7 @@ complete graph in ``O(n log² n)`` rounds w.h.p.; Theorem 9 gives the
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Tuple, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
@@ -77,17 +77,13 @@ class PushDiscovery(DiscoveryProcess):
             return None
         return v, w
 
-    def propose_batch(self, nodes: Iterable[int]):
+    def propose_batch(self, nodes: np.ndarray) -> BatchProposals:
         """Vectorized push round: all nodes' neighbour pairs in two bulk draws."""
-        if (
-            not self._propose_is(PushDiscovery)
-            or not self._default_accounting()
-            or not hasattr(self.graph, "random_neighbors")
-        ):
+        if not self._propose_is(PushDiscovery):
             return super().propose_batch(nodes)
         return self._propose_batch_kernel(nodes)
 
-    def _propose_batch_kernel(self, nodes: Iterable[int]) -> BatchProposals:
+    def _propose_batch_kernel(self, nodes: np.ndarray) -> BatchProposals:
         """The raw kernel, draw-stream-identical on every graph substrate.
 
         With replacement (the paper's process): one ``rng.random(m)`` per
@@ -96,7 +92,6 @@ class PushDiscovery(DiscoveryProcess):
         with the collision-shift, so no draw is wasted on ``v == w``.
         """
         graph = self.graph
-        nodes = np.asarray(nodes, dtype=np.int64)
         if self.without_replacement:
             u = self.rng.random((2, nodes.shape[0]))
             deg = graph.degrees()[nodes]

@@ -66,11 +66,7 @@ class _FaultyMixin:
         faulty class whose ``propose`` pairs with this batch rule; any
         further customisation falls back to the per-node path.
         """
-        if (
-            not self._propose_is(owner)
-            or not self._default_accounting()
-            or not hasattr(self.graph, "random_neighbors")
-        ):
+        if not self._propose_is(owner):
             return DiscoveryProcess.propose_batch(self, nodes)
         batch = self._propose_batch_kernel(nodes)
         if self.failure_prob > 0.0 and batch.count:

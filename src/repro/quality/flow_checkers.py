@@ -265,9 +265,19 @@ def _kwarg(call: ast.Call, name: str) -> Optional[ast.expr]:
     return None
 
 
-def _open_mode(call: ast.Call) -> Optional[str]:
-    """The constant mode string of an ``open``-family call, if present."""
-    candidates: List[ast.expr] = list(call.args[1:2])
+def _open_mode(call: ast.Call, aliases: Dict[str, str]) -> Optional[str]:
+    """The constant mode string of an ``open``-family call, if present.
+
+    Builtin ``open`` and module functions, whose receiver resolves through
+    the imports (``gzip.open(path, 'wt')``, ``os.fdopen(fd, 'wb')``), take
+    the mode second; a method on a path object (``Path(p).open('w')``,
+    ``target.open('w')``) takes it first.
+    """
+    root = call.func
+    while isinstance(root, ast.Attribute):
+        root = root.value
+    position = 1 if isinstance(root, ast.Name) and (root is call.func or root.id in aliases) else 0
+    candidates: List[ast.expr] = list(call.args[position : position + 1])
     mode_kw = _kwarg(call, "mode")
     if mode_kw is not None:
         candidates.append(mode_kw)
@@ -284,7 +294,7 @@ def resource_of_call(
     name = _canonical_name(call.func, aliases)
     if name is None:
         if isinstance(call.func, ast.Attribute) and call.func.attr == "open":
-            mode = _open_mode(call)
+            mode = _open_mode(call, aliases)
             if mode is not None and set(mode) & WRITE_MODE_CHARS:
                 return (f"writable .open(..., {mode!r}) handle", frozenset({"close"}))
         return None
@@ -297,7 +307,7 @@ def resource_of_call(
             )
         return ("shared_memory.SharedMemory attachment", frozenset({"close"}))
     if name in ("open", "os.fdopen") or name.endswith(".open"):
-        mode = _open_mode(call)
+        mode = _open_mode(call, aliases)
         if mode is not None and set(mode) & WRITE_MODE_CHARS:
             return (f"writable {name}(..., {mode!r}) handle", frozenset({"close"}))
         return None

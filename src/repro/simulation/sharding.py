@@ -467,11 +467,11 @@ class ShardedProcess:
         Name Dropper, Random Pointer Jump (undirected or directed) or
         neighbourhood flooding (see :data:`SHARDABLE_PROCESSES`) — on the
         **array graph** with synchronous semantics and default (full)
-        activation.  The wrapper mutates the process's graph and counters,
-        so the wrapped instance stays the single source of truth for
-        convergence and metrics (including the directed processes'
-        closure-deficit tracking, fed through their ``_absorb_added``
-        hooks).
+        activation.  The wrapper mutates the process's graph and ends
+        every merged round in the process's own ``_finish_round``, so the
+        wrapped instance stays the single source of truth for convergence
+        and metrics (including the directed processes' closure-deficit
+        tracking, fed through their ``_note_added_edges``).
     shards:
         Requested shard count (clamped to ``n``).  ``shards=1`` delegates
         every ``step()`` straight to the process — draw-for-draw identical
@@ -719,7 +719,7 @@ class ShardedProcess:
         result.added_edges = graph.add_edges_batch_arrays(keys // n, keys % n)
         result.messages_sent = process.MESSAGES_PER_NODE * n
         result.bits_sent = result.messages_sent * process._id_bits
-        return self._finish_round(result)
+        return process._finish_round(result)
 
     def _merge_rowblocks(
         self, shard_results: Sequence[np.ndarray], u: Optional[np.ndarray]
@@ -747,7 +747,7 @@ class ShardedProcess:
         add_us, add_vs = delta.new_edges(bits, directed=self.kind != "flooding")
         self._account_rowblocks(result, u)
         result.added_edges = graph.add_edges_batch_arrays(add_us, add_vs)
-        return self._finish_round(result)
+        return process._finish_round(result)
 
     def _account_rowblocks(self, result: RoundResult, u: Optional[np.ndarray]) -> None:
         """Round message/bit accounting for the payload kinds (round-start state)."""
@@ -766,22 +766,6 @@ class ShardedProcess:
             chosen = targets[targets >= 0]
             result.messages_sent = 2 * int(chosen.size)  # request + bulk reply each
             result.bits_sent = int((1 + deg[chosen]).sum()) * process._id_bits
-
-    def _finish_round(self, result: RoundResult) -> RoundResult:
-        """Advance the wrapped process's counters exactly like its own step()."""
-        process = self.process
-        # Processes with closure-deficit bookkeeping (the directed walk,
-        # pointer jump) fold the round's new edges into it here — the same
-        # hook their own batched rounds use.
-        absorb = getattr(process, "_absorb_added", None)
-        if absorb is not None:
-            absorb(result.added_edges)
-        process._note_added_edges(result.added_edges)
-        process.round_index += 1
-        process.total_edges_added += result.num_added
-        process.total_messages += result.messages_sent
-        process.total_bits += result.bits_sent
-        return result
 
     # ------------------------------------------------------------------ #
     # the run loop (reuses the engine's, driven by our step())

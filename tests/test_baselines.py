@@ -152,6 +152,17 @@ class TestRandomPointerJump:
         with pytest.raises(NotImplementedError):
             RandomPointerJump(gen.cycle_graph(6), rng=0).propose(0)
 
+    def test_public_apply_edge_keeps_directed_closure_deficit(self):
+        """An edge inserted through the public ``apply_edge`` leaves the
+        directed closure deficit, so the run still reports convergence."""
+        g = dgen.directed_path(5)
+        proc = RandomPointerJump(g, rng=0)
+        assert proc.apply_edge((0, 4))
+        assert (0, 4) not in proc._missing
+        result = proc.run_to_convergence()
+        assert result.converged
+        assert is_transitively_closed(g)
+
     def test_already_converged_digraph(self):
         g = dgen.complete_digraph(5)
         proc = RandomPointerJump(g, rng=0)

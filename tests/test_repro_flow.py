@@ -280,6 +280,7 @@ class TestFlowFixtureCorpus:
 # the resource model: acquisitions, aliasing stores, ownership transfers
 # --------------------------------------------------------------------------- #
 _ACQUIRE_HEADER = """\
+import gzip
 import os
 import tempfile
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
@@ -309,6 +310,10 @@ class TestResourceModel:
             ("os.fdopen(fd, 'wb')", "os.fdopen", {"close"}),
             ("target.open(mode='x')", "target.open", {"close"}),
             ("Path(p).open(mode='a')", ".open(", {"close"}),
+            # a method takes its mode first, a module function second
+            ("Path(p).open('w')", "'w'", {"close"}),
+            ("target.open('w')", "target.open", {"close"}),
+            ("gzip.open(path, 'wt')", "gzip.open", {"close"}),
             ("ProcessPoolExecutor(max_workers=2)", "ProcessPoolExecutor", {"shutdown"}),
             ("ThreadPoolExecutor()", "ThreadPoolExecutor", {"shutdown"}),
         ],
@@ -327,6 +332,7 @@ class TestResourceModel:
             "open(path, 'rb')",
             "open(path, mode)",  # mode unknown: quiet
             "target.open()",
+            "target.open('r')",
             # mkstemp is tracked through its tuple unpacking, not here
             "tempfile.mkstemp()",
             "print(path, 'w')",
