@@ -1,16 +1,16 @@
 """Degradation study: discovery time when the synchronous idealization is relaxed.
 
 The paper's analysis assumes lock-step rounds with instant, reliable
-delivery.  The event-queue engine (PR 6) drops those assumptions one at a
-time; this benchmark quantifies what each costs.  All runs use the push
-protocol on a cycle and report *tick inflation*: mean ticks to full
-discovery divided by the synchronous simulator's mean rounds on the same
-seeds.
+delivery; that model is the event engine's default configuration, and
+every other setting drops one of its assumptions.  This benchmark
+quantifies what each costs.  All runs use the push protocol on a cycle
+and report *tick inflation*: mean ticks to full discovery divided by the
+synchronous model's mean rounds on the same seeds.
 
 Axes:
 
-* ``parity``   — deterministic sub-tick latency, no faults.  The async
-  engine must replay the synchronous run draw for draw, so the inflation
+* ``parity``   — a different deterministic sub-tick latency, no faults.
+  The run must replay the synchronous one draw for draw, so the inflation
   is exactly 1.0 (asserted per seed, not just on the mean).
 * ``jitter``   — uniform per-message latency of growing width.  Once
   messages straddle tick boundaries the engines decouple, yet push barely
@@ -20,15 +20,9 @@ Axes:
   nobody is dead, eviction would only thrash).
 * ``churn``    — Poisson leave/rejoin with liveness pings evicting dead
   contacts; convergence is judged among the alive nodes.
-
-Full-size results are written to ``BENCH_PR6.json`` at the repo root
-(skipped under ``--smoke`` so CI never overwrites the recorded snapshot).
 """
 
 from __future__ import annotations
-
-import json
-from pathlib import Path
 
 import numpy as np
 
@@ -38,10 +32,8 @@ from repro.network import (
     ChurnSchedule,
     DropUniform,
     FixedLatency,
-    NetworkSimulator,
     UniformLatency,
 )
-from repro.simulation.io import atomic_write_text
 
 from _bench_helpers import BENCH_SEED, print_table, run_once, trial_count
 
@@ -50,8 +42,6 @@ MAX_TICKS = 20_000
 JITTER_WIDTHS = [0.5, 1.5, 3.0]
 DROP_RATES = [0.05, 0.1, 0.2]
 CHURN_RATES = [0.01, 0.03]
-
-RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_PR6.json"
 
 
 def _async_ticks(n: int, seed: int, **kwargs) -> tuple[int, bool]:
@@ -73,12 +63,10 @@ def test_async_degradation(benchmark, smoke):
     def measure():
         sync_rounds = []
         for seed in seeds:
-            sim = NetworkSimulator(
-                gen.cycle_graph(n), protocol="push", rng=np.random.default_rng(seed)
-            )
-            sim.run_to_convergence(max_rounds=MAX_TICKS)
-            assert sim.is_converged()
-            sync_rounds.append(sim.stats.rounds)
+            # The engine's defaults are the synchronous model.
+            ticks, converged = _async_ticks(n, seed)
+            assert converged
+            sync_rounds.append(ticks)
         baseline = float(np.mean(sync_rounds))
 
         rows = [
@@ -187,14 +175,3 @@ def test_async_degradation(benchmark, smoke):
     # a fifth of the messages costs a clearly measurable factor.
     assert by_key[("jitter", f"U(0.05, {JITTER_WIDTHS[-1]})")]["inflation"] < 1.2
     assert by_key[("drop", f"p={DROP_RATES[-1]}")]["inflation"] > 1.2
-
-    snapshot = {
-        "pr": 6,
-        "seed": BENCH_SEED,
-        "n": n,
-        "trials": trials,
-        "protocol": "push",
-        "results": rows,
-    }
-    atomic_write_text(RESULTS_PATH, json.dumps(snapshot, indent=2) + "\n")
-    print(f"snapshot written to {RESULTS_PATH}")

@@ -10,16 +10,12 @@ per-node per-round bit budget.
 ``DynamicGraph`` oracle (the per-node reference loop) and on the array
 graph at the largest n, from an identical mid-density state: the packed
 flooding round (one pass of row unions) must beat the reference triple
-loop by ≥5× at n=1024.  Full-size results are written to ``BENCH_PR3.json`` at the
-repo root (skipped under ``--smoke`` so CI never overwrites the recorded
-snapshot).
+loop by ≥5× at n=1024 (asserted at full size).
 """
 
 from __future__ import annotations
 
-import json
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,17 +26,14 @@ from repro.baselines.pointer_jump import RandomPointerJump
 from repro.graphs import generators as gen
 from repro.graphs.adjacency import DynamicGraph
 from repro.graphs.array_adjacency import ArrayGraph
+from repro.network.async_simulator import AsyncNetworkSimulator
 from repro.network.message import id_bits_for
-from repro.network.simulator import NetworkSimulator
 from repro.simulation.engine import measure_convergence_rounds
-from repro.simulation.io import atomic_write_text
 
 from _bench_helpers import BENCH_SEED, print_table, run_once, trial_count
 
 N = 64
 ALGORITHMS = ["push", "pull", "name_dropper", "pointer_jump", "flooding"]
-
-RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_PR3.json"
 
 SHOOTOUT_PROCESSES = [
     ("flooding", NeighborhoodFlooding),
@@ -101,12 +94,13 @@ def test_e10_message_level_bandwidth(benchmark, smoke):
     def measure():
         rows = []
         for protocol in ["push", "pull", "name_dropper"]:
-            sim = NetworkSimulator(gen.cycle_graph(n), protocol=protocol, rng=BENCH_SEED)
-            sim.run_to_convergence(max_rounds=50_000)
+            # Default configuration: one tick is one synchronous round.
+            sim = AsyncNetworkSimulator(gen.cycle_graph(n), protocol=protocol, rng=BENCH_SEED)
+            sim.run_to_convergence(max_ticks=50_000)
             rows.append(
                 {
                     "protocol": protocol,
-                    "rounds": sim.stats.rounds,
+                    "rounds": sim.stats.ticks,
                     "max_bits_per_node_round": sim.max_bits_per_node_round(),
                     "max_round_mean_bits_per_node": sim.max_round_mean_bits_per_node(),
                     "messages_sent": sim.stats.messages_sent,
@@ -198,15 +192,6 @@ def test_e10_backend_shootout(benchmark, smoke):
     by_name = {row["process"]: row for row in rows}
     if smoke:
         return
-    snapshot = {
-        "pr": 3,
-        "seed": BENCH_SEED,
-        "n": n,
-        "warm_rounds": warm_rounds,
-        "results": {row["process"]: row for row in rows},
-    }
-    atomic_write_text(RESULTS_PATH, json.dumps(snapshot, indent=2) + "\n")
-    print(f"snapshot written to {RESULTS_PATH}")
     # Acceptance: the packed flooding round (one pass of row unions) beats
     # the reference Python triple loop by >=5x at n=1024.
     assert by_name["flooding"]["speedup"] >= 5.0

@@ -1,4 +1,4 @@
-"""PR4/PR5 — sharded round execution shoot-outs (``BENCH_PR4.json`` / ``BENCH_PR5.json``).
+"""Sharded round execution shoot-outs.
 
 Measures the sharded round engine (:mod:`repro.simulation.sharding`)
 against the unsharded array kernels at n ≥ 2048:
@@ -17,7 +17,7 @@ against the unsharded array kernels at n ≥ 2048:
   shard-merge overhead, and pins that sharded trajectories are
   shard-count invariant).
 
-PR5 adds two measurements (``BENCH_PR5.json``):
+Two further measurements:
 
 * **incremental vs recompute closure maintenance** — maintaining packed
   all-pairs reachability under per-round edge batches via
@@ -31,17 +31,12 @@ PR5 adds two measurements (``BENCH_PR5.json``):
   Random Pointer Jump) sharded vs unsharded, plus a cross-shard-count
   trajectory-invariance assertion.
 
-Results are printed and written to ``BENCH_PR4.json`` / ``BENCH_PR5.json``
-at the repo root (skipped under ``--smoke`` so CI never overwrites the
-recorded snapshots).
+Results are printed; the acceptance ratios are asserted at full size.
 """
 
 from __future__ import annotations
 
-import json
-import os
 import time
-from pathlib import Path
 
 import numpy as np
 
@@ -54,7 +49,6 @@ from repro.graphs import bitset
 from repro.graphs import directed_generators as dgen
 from repro.graphs import generators as gen
 from repro.graphs.closure import IncrementalClosure
-from repro.simulation.io import atomic_write_text
 from repro.simulation.sharding import ShardedProcess
 
 from _bench_helpers import BENCH_SEED, print_table, run_once, trial_count
@@ -67,8 +61,6 @@ PUSH_N = 2048
 SMOKE_PUSH_N = 256
 PUSH_ROUNDS = 120
 
-RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_PR4.json"
-
 # --- PR5 knobs ------------------------------------------------------------- #
 CLOSURE_SIZES = [512, 1024]
 SMOKE_CLOSURE_SIZES = [128]
@@ -80,8 +72,6 @@ REGISTRY_DEGREE = 128
 REGISTRY_ROUNDS = 4
 REGISTRY_SHARDS = [2, 4]
 SMOKE_REGISTRY_SHARDS = [2]
-
-PR5_RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_PR5.json"
 
 
 def _time_flooding(n: int, shards: int, parallel, reps: int) -> dict:
@@ -192,18 +182,6 @@ def test_sharding_shootout(benchmark, smoke):
         for r in results["flooding"]
         if r["n"] >= 2048 and r["shards"] > 1
     )
-    snapshot = {
-        "pr": 4,
-        "seed": BENCH_SEED,
-        "sizes": sizes,
-        "shard_counts": shard_counts,
-        "cpus": os.cpu_count(),
-        "push_rounds": PUSH_ROUNDS,
-        "best_multi_shard_speedup": best,
-        "results": results,
-    }
-    atomic_write_text(RESULTS_PATH, json.dumps(snapshot, indent=2) + "\n")
-    print(f"snapshot written to {RESULTS_PATH}")
     # Acceptance: sharded rounds beat unsharded rounds at n >= 2048 even
     # on this host (multi-core hosts add pool scaling on top).
     assert best > 1.0, f"no multi-shard speedup recorded (best {best:.3f}x)"
@@ -346,19 +324,3 @@ def test_pr5_incremental_closure_and_sharded_registry(benchmark, smoke):
     # Acceptance: incremental maintenance beats recompute at every size.
     worst = min(r["speedup"] for r in results["closure"])
     assert worst > 1.0, f"incremental closure slower than recompute ({worst:.3f}x)"
-
-    if smoke:
-        return
-    snapshot = {
-        "pr": 5,
-        "seed": BENCH_SEED,
-        "cpus": os.cpu_count(),
-        "closure_sizes": closure_sizes,
-        "registry_n": registry_n,
-        "registry_rounds": REGISTRY_ROUNDS,
-        "shard_counts": shard_counts,
-        "best_closure_speedup": max(r["speedup"] for r in results["closure"]),
-        "results": results,
-    }
-    atomic_write_text(PR5_RESULTS_PATH, json.dumps(snapshot, indent=2) + "\n")
-    print(f"snapshot written to {PR5_RESULTS_PATH}")

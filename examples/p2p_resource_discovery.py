@@ -23,9 +23,9 @@ from __future__ import annotations
 import argparse
 
 from repro.graphs import generators
+from repro.network.async_simulator import AsyncNetworkSimulator
 from repro.network.failures import DropUniform, NoFailures
 from repro.network.message import id_bits_for
-from repro.network.simulator import NetworkSimulator
 
 
 def run_protocol(name: str, n: int, drop: float, seed: int) -> dict:
@@ -37,11 +37,12 @@ def run_protocol(name: str, n: int, drop: float, seed: int) -> dict:
         n, extra_edge_prob=0.02, rng=np.random.default_rng(seed)
     )
     failures = DropUniform(drop) if drop > 0 else NoFailures()
-    sim = NetworkSimulator(topology, protocol=name, rng=seed, failures=failures)
-    sim.run_to_convergence(max_rounds=200_000)
+    # Default latency and tick: one tick is one synchronous round.
+    sim = AsyncNetworkSimulator(topology, protocol=name, rng=seed, failures=failures)
+    sim.run_to_convergence(max_ticks=200_000)
     return {
         "protocol": name,
-        "rounds": sim.stats.rounds,
+        "rounds": sim.stats.ticks,
         "discovered_all": sim.is_converged(),
         "peak_bits_per_node_round": sim.max_bits_per_node_round(),
         "total_messages": sim.stats.messages_sent,

@@ -5,22 +5,19 @@ objects the paper analyses.  This subpackage re-implements them as
 *distributed protocols*: every node is an agent holding only its local
 neighbour table, and all information moves through explicit messages with
 bit-accounted payloads.  The per-message state transitions live in
-:mod:`repro.network.protocols` and are driven by two interchangeable
-engines:
+:mod:`repro.network.protocols` and are driven by one event engine,
+:class:`AsyncNetworkSimulator` (per-message latency from
+:mod:`repro.network.events`, message loss, node churn, partitions and
+ping-based liveness eviction).
 
-* :class:`NetworkSimulator` — the paper's idealization: synchronous
-  lock-step rounds, optional message loss.
-* :class:`AsyncNetworkSimulator` — an event-queue engine with per-message
-  latency (:mod:`repro.network.events`), node churn, partitions, and
-  ping-based liveness eviction; in its degenerate configuration it
-  replays the synchronous engine draw for draw.
-
-Both engines enforce the model's locality (a node can only address IDs it
-was actually handed — :class:`LocalityError` otherwise) and report true
-per-``(node, round)`` bandwidth.  Tests cross-validate that the protocol
-implementations induce exactly the same random graph evolution as the
-graph-level processes; experiment E10 uses the message accounting for the
-bandwidth comparison against Name Dropper / flooding, and
+Its default configuration is the paper's idealization — lock-step rounds
+with reliable delivery — and every other setting relaxes one assumption
+of it.  The engine enforces the model's locality (a node can only address
+IDs it was actually handed — :class:`LocalityError` otherwise) and reports
+true per-``(node, tick)`` bandwidth.  Tests cross-validate that the
+protocol implementations induce exactly the same random graph evolution
+as the graph-level processes; experiment E10 uses the message accounting
+for the bandwidth comparison against Name Dropper / flooding, and
 ``benchmarks/bench_async.py`` measures how discovery degrades when the
 synchronous idealization is relaxed.
 """
@@ -29,13 +26,11 @@ from repro.network.message import LocalityError, Message, MessageKind, id_bits_f
 from repro.network.node import NetworkNode
 from repro.network.protocols import (
     GossipProtocol,
-    ProtocolContext,
     PushProtocol,
     PullProtocol,
     NameDropperProtocol,
     resolve_protocol,
 )
-from repro.network.simulator import NetworkSimulator, SimulationStats
 from repro.network.failures import (
     DropBurst,
     DropUniform,
@@ -64,13 +59,10 @@ __all__ = [
     "id_bits_for",
     "NetworkNode",
     "GossipProtocol",
-    "ProtocolContext",
     "PushProtocol",
     "PullProtocol",
     "NameDropperProtocol",
     "resolve_protocol",
-    "NetworkSimulator",
-    "SimulationStats",
     "AsyncNetworkSimulator",
     "AsyncSimulationStats",
     "FailureModel",

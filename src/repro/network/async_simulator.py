@@ -1,25 +1,27 @@
-"""The asynchronous event-driven network simulator.
+"""The event-driven network simulator.
 
-Where :class:`~repro.network.simulator.NetworkSimulator` advances in
-lock-step rounds, this engine advances a virtual clock through a
-deterministic event heap (:mod:`repro.network.events`): nodes originate
-protocol messages at periodic *ticks*, every message is delivered by its
-own timestamped event after a latency drawn from a pluggable
+The engine advances a virtual clock through a deterministic event heap
+(:mod:`repro.network.events`): nodes originate protocol messages at
+periodic *ticks*, every message is delivered by its own timestamped event
+after a latency drawn from a pluggable
 :class:`~repro.network.events.LatencyModel`, and faults are first-class
-events — message loss (the same :class:`~repro.network.failures.FailureModel`
-objects the sync engine uses), node leave/join churn, and
-partition/heal.  Dead contacts are detected and evicted through periodic
-liveness pings.
+events — message loss (a :class:`~repro.network.failures.FailureModel`),
+node leave/join churn, and partition/heal.  Dead contacts are detected and
+evicted through periodic liveness pings.
 
-Both engines drive the *same* per-message protocol state transitions
-(:meth:`~repro.network.protocols.GossipProtocol.initiate_batch` /
-:meth:`~repro.network.protocols.GossipProtocol.on_deliver`), so the async
-engine is not a reimplementation of the protocols but a different
-scheduler for them.  In the degenerate configuration — constant latency
-below the tick interval, no churn, no partitions, ``NoFailures`` — a tick
-is exactly a synchronous round: the engine consumes the identical random
-stream and reproduces the synchronous discovery trajectory draw for draw
-(pinned by ``tests/test_async_network.py``).
+The default configuration *is* the paper's synchronous model: tick 1.0,
+``FixedLatency(0.25)`` (so pull's request, reply and connect all land
+inside the tick that sent them), ``NoFailures``, and no churn, partitions
+or pings.  There a tick is exactly one lock-step round, and
+``tests/test_network.py`` pins the round-by-round trajectories.  Every
+other knob relaxes one assumption of that model.
+
+The engine enforces the model's locality (a node can only address IDs it
+holds or has heard of — :class:`~repro.network.message.LocalityError`
+otherwise) and charges every protocol message's bits to its sender in the
+tick window it is sent in, so the per-node bandwidth claims
+(:meth:`AsyncNetworkSimulator.max_bits_per_node_round`) are measured, not
+assumed.
 
 Event ordering is deterministic per seed: the heap breaks time ties by
 insertion sequence, all protocol randomness flows through one generator,
@@ -48,7 +50,7 @@ from repro.network.events import (
 from repro.network.failures import FailureModel, NoFailures
 from repro.network.message import LocalityError, Message, MessageKind
 from repro.network.node import NetworkNode
-from repro.network.protocols import GossipProtocol, ProtocolContext, resolve_protocol
+from repro.network.protocols import GossipProtocol, resolve_protocol
 
 __all__ = ["AsyncNetworkSimulator", "AsyncSimulationStats"]
 
@@ -58,7 +60,7 @@ _LIVENESS_KINDS = (MessageKind.PING, MessageKind.PONG)
 
 @dataclass
 class AsyncSimulationStats:
-    """Cumulative accounting for one asynchronous simulation."""
+    """Cumulative accounting for one simulation."""
 
     time: float = 0.0
     ticks: int = 0
@@ -76,6 +78,12 @@ class AsyncSimulationStats:
     pings_sent: int = 0
     pongs_received: int = 0
     evictions: int = 0
+    #: protocol messages and bits sent in each tick window (liveness
+    #: pings excluded); tick 0's entry exists from construction on.
+    per_tick_messages: List[int] = field(default_factory=list)
+    per_tick_bits: List[int] = field(default_factory=list)
+    #: largest number of bits any single node sent in each tick window.
+    per_tick_max_node_bits: List[int] = field(default_factory=list)
 
 
 class AsyncNetworkSimulator:
@@ -85,8 +93,9 @@ class AsyncNetworkSimulator:
     ----------
     graph:
         Starting topology; node ``u``'s initial contact list is its
-        neighbour list (insertion order preserved, exactly like the
-        synchronous engine).
+        neighbour list (insertion order preserved, so the push protocol
+        reproduces the graph-level process draw for draw).  The graph
+        itself is not mutated.
     protocol:
         A :class:`GossipProtocol` instance or one of ``"push"``,
         ``"pull"``, ``"name_dropper"``.
@@ -95,11 +104,11 @@ class AsyncNetworkSimulator:
     failures:
         Per-message loss model applied at send time (default: reliable).
     latency:
-        Per-message delivery delay (default ``FixedLatency(0.5)``).
+        Per-message delivery delay (default ``FixedLatency(0.25)``).
     tick_interval:
-        Virtual time between activations.  For tick-vs-round comparisons
-        keep all latencies below this (below a third of it for pull,
-        whose rounds are three message hops deep).
+        Virtual time between activations.  A tick is a synchronous round
+        while all latencies stay below this (below a third of it for
+        pull, whose rounds are three message hops deep).
     churn:
         Optional :class:`ChurnSchedule` of leave/join events.
     partitions:
@@ -147,7 +156,7 @@ class AsyncNetworkSimulator:
         self.protocol = resolve_protocol(protocol)
         self.rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
         self.failures = failures if failures is not None else NoFailures()
-        self.latency = latency if latency is not None else FixedLatency(0.5)
+        self.latency = latency if latency is not None else FixedLatency(0.25)
         self.tick_interval = float(tick_interval)
         self.ping_interval = None if ping_interval is None else float(ping_interval)
         self.ping_timeout = float(ping_timeout)
@@ -167,7 +176,8 @@ class AsyncNetworkSimulator:
         self._pending_pings: Dict[int, Tuple[int, int]] = {}
         self._miss_counts: Dict[Tuple[int, int], int] = {}
         self._next_ping_id = 0
-        self._ctx = self._make_ctx(0)
+        self._node_bits: List[int] = []
+        self._open_tick_window()
 
         # Fault schedules go on the heap first so a fault at time t takes
         # effect before the tick at t (ticks are pushed lazily, with later
@@ -178,8 +188,17 @@ class AsyncNetworkSimulator:
             kind = EventKind.LEAVE if entry.kind == "leave" else EventKind.JOIN
             self._queue.push(entry.time, kind, entry.node)
         for entry in (partitions.entries if partitions is not None else ()):
-            kind = EventKind.HEAL if entry.groups is None else EventKind.PARTITION
-            self._queue.push(entry.time, kind, entry.groups)
+            if entry.groups is None:
+                self._queue.push(entry.time, EventKind.HEAL)
+                continue
+            group_of: Dict[int, int] = {}
+            for i, group in enumerate(entry.groups):
+                for u in group:
+                    if not (0 <= u < self.n):
+                        raise ValueError(f"partition node {u} out of range for n={self.n}")
+                    if group_of.setdefault(u, i) != i:
+                        raise ValueError(f"partition node {u} is listed in more than one group")
+            self._queue.push(entry.time, EventKind.PARTITION, entry.groups)
         if self.ping_interval is not None:
             for u in range(self.n):
                 self._queue.push(self.ping_interval, EventKind.PING_TIMER, u)
@@ -210,15 +229,23 @@ class AsyncNetworkSimulator:
             )
         liveness = message.kind in _LIVENESS_KINDS
         rng = self._liveness_rng if liveness else self.rng
+        stats = self.stats
         if liveness:
             if message.kind is MessageKind.PING:
-                self.stats.pings_sent += 1
+                stats.pings_sent += 1
         else:
-            self.stats.messages_sent += 1
-            self.stats.bits_sent += message.bits(self.n)
+            bits = message.bits(self.n)
+            stats.messages_sent += 1
+            stats.bits_sent += bits
+            stats.per_tick_messages[-1] += 1
+            stats.per_tick_bits[-1] += bits
+            sender_bits = self._node_bits[message.sender] + bits
+            self._node_bits[message.sender] = sender_bits
+            if sender_bits > stats.per_tick_max_node_bits[-1]:
+                stats.per_tick_max_node_bits[-1] = sender_bits
         if not self.failures.delivered(message, rng):
             if not liveness:
-                self.stats.messages_dropped += 1
+                stats.messages_dropped += 1
             return False
         delay = self.latency.sample(message, rng)
         self._queue.push(self._clock + delay, EventKind.MESSAGE, message)
@@ -236,9 +263,8 @@ class AsyncNetworkSimulator:
         """Advance through ``ticks`` further activations.
 
         Processes every event scheduled before the tick *after* the last
-        requested one, so with latencies below the tick interval the
-        post-call state is directly comparable to the synchronous engine
-        after the same number of rounds.
+        requested one, so in the default configuration the post-call
+        state is the synchronous model's after the same number of rounds.
         """
         if ticks < 0:
             raise ValueError("ticks must be non-negative")
@@ -256,8 +282,8 @@ class AsyncNetworkSimulator:
     def run_to_convergence(self, max_ticks: int) -> AsyncSimulationStats:
         """Run until every alive node knows every other alive node.
 
-        The ``max_ticks`` budget is per-call, mirroring the synchronous
-        engine's per-call round budget.
+        The ``max_ticks`` budget is per-call: a second call runs up to
+        ``max_ticks`` further ticks.
         """
         if max_ticks < 0:
             raise ValueError("max_ticks must be non-negative")
@@ -296,9 +322,12 @@ class AsyncNetworkSimulator:
             self._handle_ping_timeout(event.data)
 
     def _handle_tick(self) -> None:
-        self._ctx = self._make_ctx(self.stats.ticks)
+        # Tick 0's window is opened at construction, so sends made before
+        # the first tick are charged to it.
+        if self.stats.ticks:
+            self._open_tick_window()
         active = [node for node in self.nodes if self._alive[node.node_id]]
-        for message in self.protocol.initiate_batch(active, self._ctx):
+        for message in self.protocol.initiate_batch(active, self):
             self.send(message)
         self.stats.ticks += 1
         self._queue.push(self._clock + self.tick_interval, EventKind.TICK)
@@ -337,7 +366,7 @@ class AsyncNetworkSimulator:
             return
         self.stats.messages_delivered += 1
         receiver = self.nodes[message.receiver]
-        for follow_up in self.protocol.on_deliver(receiver, message, self._ctx):
+        for follow_up in self.protocol.on_deliver(receiver, message, self):
             self.send(follow_up)
 
     def _handle_ping_timer(self, u: int) -> None:
@@ -373,15 +402,14 @@ class AsyncNetworkSimulator:
     # ------------------------------------------------------------------ #
     # helpers
     # ------------------------------------------------------------------ #
-    def _make_ctx(self, tick: int) -> ProtocolContext:
-        # No reply snapshots: async replies sample the replier's *current*
-        # contacts at delivery time (there is no global round to freeze).
-        return ProtocolContext(
-            rng=self.rng,
-            round_index=tick,
-            record_discovery=self.record_discovery,
-            reply_snapshots=None,
-        )
+    def _open_tick_window(self) -> None:
+        """Start the per-tick bandwidth entry that sends are charged to."""
+        # Bits each node sent in the current tick window.
+        self._node_bits = [0] * self.n
+        stats = self.stats
+        stats.per_tick_messages.append(0)
+        stats.per_tick_bits.append(0)
+        stats.per_tick_max_node_bits.append(0)
 
     def _partition_cuts(self, a: int, b: int) -> bool:
         if self._group_of is None:
@@ -427,6 +455,26 @@ class AsyncNetworkSimulator:
             for c in node.contacts:
                 g.add_edge(node.node_id, c)
         return g
+
+    def max_bits_per_node_round(self) -> int:
+        """Largest bits any *single* node sent in any single tick.
+
+        This is the quantity the paper's per-node bandwidth claims are
+        about: for the push protocol it stays ``O(log n)`` (two IDs per
+        round); for Name Dropper it grows to ``Θ(n log n)``.  For pull it
+        can exceed the requester-side budget because one node may answer
+        every request that lands on it in a round.
+        """
+        return max(self.stats.per_tick_max_node_bits)
+
+    def max_round_mean_bits_per_node(self) -> int:
+        """Largest per-tick *average* bits per node (total bits / n, rounded up).
+
+        A smoother load measure than :meth:`max_bits_per_node_round`: it
+        bounds the mean per-node traffic of the busiest tick, not the
+        busiest node's.
+        """
+        return -(-max(self.stats.per_tick_bits) // max(self.n, 1))
 
     def __repr__(self) -> str:
         return (

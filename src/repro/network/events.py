@@ -1,18 +1,18 @@
-"""Event primitives for the asynchronous network simulator.
+"""Event primitives for the network simulator.
 
-Everything the async engine schedules is an :class:`Event` on one
+Everything the engine schedules is an :class:`Event` on one
 :class:`EventQueue` — a binary heap ordered by ``(time, seq)``, where
 ``seq`` is a monotonically increasing insertion counter.  The tie-break
 makes event processing *fully deterministic*: two runs with the same seed
 and the same schedules pop exactly the same events in exactly the same
-order, which is what lets the degenerate async configuration replay the
-synchronous simulator draw for draw.
+order, which is what makes the default configuration (sub-tick fixed
+latency) the paper's synchronous rounds, draw for draw.
 
 The module also holds the pluggable ingredients of the failure story:
 
 * :class:`LatencyModel` — per-message delivery delay
   (:class:`FixedLatency` draws nothing from the RNG, so zero-variance
-  runs consume the exact synchronous random stream;
+  runs consume only the protocol's own draws;
   :class:`UniformLatency` / :class:`ExponentialLatency` add jitter).
 * :class:`ChurnSchedule` — timestamped node leave/join events, either
   written explicitly or generated by :meth:`ChurnSchedule.poisson` from a
@@ -26,8 +26,8 @@ from __future__ import annotations
 import abc
 import enum
 import heapq
-from dataclasses import dataclass, field
-from typing import Any, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -45,7 +45,7 @@ __all__ = [
 
 
 class EventKind(enum.Enum):
-    """Everything that can happen in the asynchronous simulator."""
+    """Everything that can happen in the network simulator."""
 
     #: cohort activation: all alive nodes originate their protocol messages.
     TICK = "tick"
@@ -65,14 +65,17 @@ class EventKind(enum.Enum):
     PING_TIMEOUT = "ping_timeout"
 
 
-@dataclass(order=True)
-class Event:
-    """One scheduled occurrence; ordered by ``(time, seq)`` only."""
+class Event(NamedTuple):
+    """One scheduled occurrence; ordered by ``(time, seq)`` only.
+
+    A plain tuple, so the heap compares events in C.  ``seq`` is unique
+    per queue, so the comparison never reaches ``kind`` or ``data``.
+    """
 
     time: float
     seq: int
-    kind: EventKind = field(compare=False)
-    data: Any = field(compare=False, default=None)
+    kind: EventKind
+    data: Any = None
 
 
 class EventQueue:
@@ -125,13 +128,15 @@ class LatencyModel(abc.ABC):
 class FixedLatency(LatencyModel):
     """Constant delay; consumes no randomness.
 
-    The zero-variance model: with ``FixedLatency(d)``, ``d`` below the
-    tick interval, and no failures, the async engine replays the
-    synchronous round semantics exactly (and, because nothing is drawn
-    from the RNG here, with the identical random stream).
+    The zero-variance model and the engine's default: with
+    ``FixedLatency(d)`` and ``3 * d`` below the tick interval, every
+    message of a round — pull's request, reply and connect included —
+    lands inside its own tick, so a tick is exactly one synchronous round
+    (and, because nothing is drawn from the RNG here, consumes only the
+    protocol's draws).
     """
 
-    def __init__(self, delay: float = 0.5) -> None:
+    def __init__(self, delay: float = 0.25) -> None:
         if delay < 0.0:
             raise ValueError(f"delay must be non-negative, got {delay}")
         self.delay = float(delay)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Sequence, Tuple
+from typing import Tuple
 
 from repro.core.base import id_bits
 
@@ -22,9 +22,9 @@ class LocalityError(ValueError):
     """A node addressed a message to an ID it has never been handed.
 
     The paper's model only lets a node contact IDs it knows: current
-    contacts, nodes it just heard from, or IDs carried by a delivered
-    payload.  Both simulators raise this instead of silently delivering a
-    message that no real deployment could route.
+    contacts, nodes it has heard from, or IDs carried by a payload
+    delivered to it.  The simulator raises this instead of silently
+    delivering a message that no real deployment could route.
     """
 
 
@@ -66,14 +66,15 @@ class Message:
         The protocol-level message type.
     sender, receiver:
         Node IDs of the endpoints.  Sending requires that the receiver is
-        a current contact of the sender *or* was just introduced to it
-        (heard from it, or handed its ID in a delivered payload) — both
-        simulators enforce the locality the paper's model assumes and
-        raise :class:`LocalityError` on violations.
+        a current contact of the sender *or* was introduced to it (heard
+        from it, or handed its ID in a delivered payload) — the simulator
+        enforces the locality the paper's model assumes and raises
+        :class:`LocalityError` on violations.
     payload:
         The node IDs carried by the message (possibly empty for requests).
     round_index:
-        The round in which the message was sent.
+        The tick (round) whose activation started the exchange; follow-ups
+        carry the index of the message they answer.
     """
 
     kind: MessageKind
@@ -89,13 +90,3 @@ class Message:
         (the sender must identify itself).
         """
         return max(1, len(self.payload)) * id_bits_for(n)
-
-    def with_round(self, round_index: int) -> "Message":
-        """Copy of this message stamped with a round index."""
-        return Message(
-            kind=self.kind,
-            sender=self.sender,
-            receiver=self.receiver,
-            payload=self.payload,
-            round_index=round_index,
-        )

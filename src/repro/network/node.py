@@ -82,15 +82,5 @@ class NetworkNode:
             raise ValueError(f"node {self.node_id} has no contacts to sample from")
         return self._contacts[int(rng.integers(len(self._contacts)))]
 
-    def random_contact_pair(self, rng: np.random.Generator) -> tuple:
-        """Two independent uniformly random contacts (with replacement)."""
-        if not self._contacts:
-            raise ValueError(f"node {self.node_id} has no contacts to sample from")
-        k = len(self._contacts)
-        return (
-            self._contacts[int(rng.integers(k))],
-            self._contacts[int(rng.integers(k))],
-        )
-
     def __repr__(self) -> str:
         return f"NetworkNode(id={self.node_id}, contacts={len(self._contacts)})"

@@ -17,8 +17,9 @@ from __future__ import annotations
 
 import ast
 from pathlib import Path
-from typing import Dict, Iterator, Optional, Set
+from typing import Dict, Iterator, Set
 
+from repro.quality.flow_checkers import WRITE_MODE_CHARS, _open_mode
 from repro.quality.framework import (
     Checker,
     FileContext,
@@ -275,13 +276,6 @@ class ExceptionHygieneChecker(Checker):
 # --------------------------------------------------------------------------- #
 # atomic-write
 # --------------------------------------------------------------------------- #
-_WRITE_MODE_CHARS = set("wax+")
-
-
-def _is_write_mode(mode: str) -> bool:
-    return bool(set(mode) & _WRITE_MODE_CHARS)
-
-
 @register_checker
 class AtomicWriteChecker(Checker):
     """Ban direct writable ``open()`` outside ``simulation/io.py``.
@@ -302,17 +296,10 @@ class AtomicWriteChecker(Checker):
     def applies_to(self, path: Path) -> bool:
         return not (path.name == "io.py" and "simulation" in path.parts)
 
-    def _mode_of(self, node: ast.Call) -> Optional[str]:
-        candidates = list(node.args[1:2])
-        for kw in node.keywords:
-            if kw.arg == "mode":
-                candidates.append(kw.value)
-        for cand in candidates:
-            if isinstance(cand, ast.Constant) and isinstance(cand.value, str):
-                return cand.value
-        return None
-
     def check_file(self, ctx: FileContext) -> Iterator[Finding]:
+        # The mode is read the way resource-leak reads it: second for
+        # builtin open and module functions, first for a path's method.
+        aliases = _import_aliases(ctx.tree)
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call):
                 continue
@@ -325,8 +312,8 @@ class AtomicWriteChecker(Checker):
             elif isinstance(func, ast.Attribute) and func.attr == "fdopen":
                 opener = "os.fdopen"
             if opener is not None:
-                mode = self._mode_of(node)
-                if mode is not None and _is_write_mode(mode):
+                mode = _open_mode(node, aliases)
+                if mode is not None and set(mode) & WRITE_MODE_CHARS:
                     yield self.finding(
                         ctx,
                         node.lineno,
@@ -347,7 +334,6 @@ class AtomicWriteChecker(Checker):
 
 
 # Importing this module is the "load the built-in rules" hook (framework
-# does it lazily); pull in the project-scope checker and the flow-sensitive
-# CFG/dataflow rules as part of that.
-from repro.quality import flow_checkers as _flow_checkers  # noqa: E402,F401
+# does it lazily); the flow-sensitive CFG/dataflow rules arrive with the
+# import at the top, and the project-scope checker here.
 from repro.quality import registry_check as _registry_check  # noqa: E402,F401

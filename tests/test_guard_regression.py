@@ -2,7 +2,7 @@
 
 Two seed-era layers still gated on ``isinstance(graph, DynamicGraph)``:
 ``EvolutionTracker`` silently recorded zero snapshots on an ``ArrayGraph``,
-and ``NetworkSimulator`` rejected ``ArrayGraph`` topologies outright —
+and the lock-step network simulator rejected ``ArrayGraph`` topologies outright —
 the same failure mode PR 3 removed from the baselines and PR 4 removed
 from the activation schedules.  These tests
 
@@ -25,7 +25,7 @@ import pytest
 from repro.analysis.degree_growth import _MinDegreeWatcher
 from repro.core.metrics import MetricsRecorder
 from repro.graphs import generators as gen
-from repro.network.simulator import NetworkSimulator
+from repro.network.async_simulator import AsyncNetworkSimulator
 from repro.simulation.engine import make_process
 from repro.simulation.trace import TraceRecorder
 from repro.social.evolution import EvolutionTracker, simulate_social_evolution
@@ -94,22 +94,24 @@ class TestRecordersOnBothBackends:
         assert len(snaps) >= 2  # baseline + at least one recorded round
 
 
-class TestNetworkSimulatorBackends:
+class TestAsyncNetworkSimulatorBackends:
     def test_accepts_array_graph_topology(self):
         """Fails before the fix: TypeError for ArrayGraph."""
         topo = gen.cycle_graph(10)
-        sim = NetworkSimulator(topo, protocol="push", rng=3)
-        stats = sim.run_to_convergence(max_rounds=20_000)
+        sim = AsyncNetworkSimulator(topo, protocol="push", rng=3)
+        stats = sim.run_to_convergence(max_ticks=20_000)
         assert sim.is_converged()
         assert stats.discoveries > 0
 
     def test_same_seed_same_rounds_across_backends(self):
-        list_sim = NetworkSimulator(gen.cycle_graph(10).to_dynamic(), protocol="push", rng=7)
-        array_sim = NetworkSimulator(gen.cycle_graph(10), protocol="push", rng=7)
-        a = list_sim.run_to_convergence(max_rounds=20_000)
-        b = array_sim.run_to_convergence(max_rounds=20_000)
-        assert (a.rounds, a.messages_sent, a.discoveries) == (
-            b.rounds,
+        list_sim = AsyncNetworkSimulator(
+            gen.cycle_graph(10).to_dynamic(), protocol="push", rng=7
+        )
+        array_sim = AsyncNetworkSimulator(gen.cycle_graph(10), protocol="push", rng=7)
+        a = list_sim.run_to_convergence(max_ticks=20_000)
+        b = array_sim.run_to_convergence(max_ticks=20_000)
+        assert (a.ticks, a.messages_sent, a.discoveries) == (
+            b.ticks,
             b.messages_sent,
             b.discoveries,
         )
@@ -118,7 +120,7 @@ class TestNetworkSimulatorBackends:
         from repro.graphs.adjacency import DynamicDiGraph
 
         with pytest.raises(TypeError):
-            NetworkSimulator(DynamicDiGraph(3, [(0, 1)]))
+            AsyncNetworkSimulator(DynamicDiGraph(3, [(0, 1)]))
 
 
 class TestGroupDiscoveryBackends:

@@ -403,7 +403,7 @@ _RNG_CLEAN = """\
 import numpy as np
 
 
-def run_round(pool, worker, entropy):
+def submit_round(pool, worker, entropy):
     seq = np.random.SeedSequence(entropy)
     rng = np.random.default_rng(seq.spawn(1)[0])
     future = pool.submit(worker, rng)

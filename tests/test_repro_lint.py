@@ -171,6 +171,46 @@ class TestFramework:
         assert checker.applies_to(SRC_ROOT / "simulation" / "engine.py")
 
 
+class TestAtomicWriteModes:
+    """atomic-write reads an opener's mode where resource-leak does."""
+
+    @pytest.mark.parametrize(
+        "expr",
+        [
+            # a method on a path object takes its mode first
+            "Path(p).open('w')",
+            "target.open('w')",
+            "target.open(mode='a')",
+            # builtin open and module functions take it second
+            "open(p, 'w')",
+            "open(p, mode='wb')",
+            "gzip.open(p, 'wt')",
+            "os.fdopen(fd, 'wb')",
+        ],
+    )
+    def test_writable_open_is_flagged(self, expr):
+        src = f"import gzip\nimport os\nfrom pathlib import Path\nfh = {expr}\n"
+        findings = lint_text(src, rules=["atomic-write"])
+        assert [f.rule for f in findings] == ["atomic-write"], expr
+
+    @pytest.mark.parametrize(
+        "expr",
+        [
+            "Path(p).open()",
+            "Path(p).open('r')",
+            "target.open('rb')",
+            "open(p)",
+            "open(p, 'r')",
+            "gzip.open(p, 'rt')",
+            "os.fdopen(fd, 'rb')",
+            "open(p, mode)",  # mode unknown: quiet
+        ],
+    )
+    def test_read_modes_are_not_flagged(self, expr):
+        src = f"import gzip\nimport os\nfrom pathlib import Path\nfh = {expr}\n"
+        assert lint_text(src, rules=["atomic-write"]) == [], expr
+
+
 # --------------------------------------------------------------------------- #
 # registry-consistency
 # --------------------------------------------------------------------------- #
