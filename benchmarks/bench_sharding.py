@@ -11,11 +11,11 @@ against the unsharded array kernels at n ≥ 2048:
   single-core host the in-process sharded path wins by confining each
   scatter to an L2-sized row block; on multi-core hosts the process-pool
   path (measured separately as mode="pool") adds core scaling on top.
-* **push fixed-round throughput** — per-round wall time of the sharded
-  gossip kernel vs the unsharded one at equal round counts (the gossip
-  propose phase is O(n) per round, so this row mostly prices the
-  shard-merge overhead, and pins that sharded trajectories are
-  shard-count invariant).
+
+Push, pull and the directed walk are not shardable: their rounds propose
+O(n) edges, so a shard's work is smaller than the merge and pool round
+trip sharding adds (on a 2-core host, a push round at n=4096 took 1.7 ms
+unsharded and 6.5 ms on a 2-shard pool).
 
 Two further measurements:
 
@@ -26,10 +26,9 @@ Two further measurements:
   :func:`repro.graphs.bitset.transitive_closure_bits` recompute per batch
   — the machinery that makes the directed walk's closure-deficit tracking
   affordable at large n;
-* **sharded full-registry shoot-out** — fixed-round per-round wall time of
-  the newly shardable processes (directed two-hop walk, Name Dropper,
-  Random Pointer Jump) sharded vs unsharded, plus a cross-shard-count
-  trajectory-invariance assertion.
+* **sharded payload shoot-out** — fixed-round per-round wall time of
+  Name Dropper and Random Pointer Jump sharded vs unsharded, plus a
+  cross-shard-count trajectory-invariance assertion.
 
 Results are printed; the acceptance ratios are asserted at full size.
 """
@@ -43,10 +42,7 @@ import numpy as np
 from repro.baselines.flooding import NeighborhoodFlooding
 from repro.baselines.name_dropper import NameDropper
 from repro.baselines.pointer_jump import RandomPointerJump
-from repro.core.directed import DirectedTwoHopWalk
-from repro.core.push import PushDiscovery
 from repro.graphs import bitset
-from repro.graphs import directed_generators as dgen
 from repro.graphs import generators as gen
 from repro.graphs.closure import IncrementalClosure
 from repro.simulation.sharding import ShardedProcess
@@ -57,9 +53,6 @@ SIZES = [2048, 4096]
 SMOKE_SIZES = [256]
 SHARD_COUNTS = [2, 4, 8]
 SMOKE_SHARD_COUNTS = [2]
-PUSH_N = 2048
-SMOKE_PUSH_N = 256
-PUSH_ROUNDS = 120
 
 # --- PR5 knobs ------------------------------------------------------------- #
 CLOSURE_SIZES = [512, 1024]
@@ -91,25 +84,6 @@ def _time_flooding(n: int, shards: int, parallel, reps: int) -> dict:
     return {"seconds": best, "rounds": rounds, "edges": edges}
 
 
-def _time_push(n: int, shards: int, rounds: int) -> dict:
-    """Wall seconds for ``rounds`` sharded push rounds (serial shard path)."""
-    process = PushDiscovery(gen.cycle_graph(n), rng=BENCH_SEED)
-    start = time.perf_counter()
-    if shards == 1:
-        for _ in range(rounds):
-            process.step()
-    else:
-        with ShardedProcess(process, shards=shards, parallel=False) as sharded:
-            for _ in range(rounds):
-                sharded.step()
-    seconds = time.perf_counter() - start
-    return {
-        "seconds": seconds,
-        "per_round_ms": seconds / rounds * 1e3,
-        "edges": process.total_edges_added,
-    }
-
-
 def test_sharding_shootout(benchmark, smoke):
     """Sharded vs unsharded round execution at n >= 2048."""
     sizes = SMOKE_SIZES if smoke else SIZES
@@ -117,7 +91,7 @@ def test_sharding_shootout(benchmark, smoke):
     reps = trial_count(smoke, 2)
 
     def measure():
-        results = {"flooding": [], "push": []}
+        results = {"flooding": []}
         for n in sizes:
             flood_reps = reps if n <= 2048 else 1
             base = _time_flooding(n, 1, False, flood_reps)
@@ -152,15 +126,6 @@ def test_sharding_shootout(benchmark, smoke):
                 "speedup": base_s / pool["seconds"],
             }
         )
-        push_n = SMOKE_PUSH_N if smoke else PUSH_N
-        push_rounds = PUSH_ROUNDS if not smoke else 20
-        push_base = _time_push(push_n, 1, push_rounds)
-        results["push"].append({"n": push_n, "shards": 1, **push_base})
-        for shards in shard_counts:
-            results["push"].append({"n": push_n, "shards": shards, **_time_push(push_n, shards, push_rounds)})
-        # Sharded push trajectories are shard-count invariant (k >= 2).
-        sharded_edges = {r["edges"] for r in results["push"] if r["shards"] > 1}
-        assert len(sharded_edges) == 1
         return results
 
     results = run_once(benchmark, measure)
@@ -168,11 +133,6 @@ def test_sharding_shootout(benchmark, smoke):
         "PR4 sharded flooding (end-to-end convergence)",
         results["flooding"],
         ["n", "shards", "mode", "seconds", "rounds", "speedup"],
-    )
-    print_table(
-        "PR4 sharded push (fixed rounds)",
-        results["push"],
-        ["n", "shards", "seconds", "per_round_ms", "edges"],
     )
 
     if smoke:
@@ -188,7 +148,7 @@ def test_sharding_shootout(benchmark, smoke):
 
 
 # --------------------------------------------------------------------------- #
-# PR5 — incremental closure maintenance + the fully-shardable registry
+# incremental closure maintenance + the sharded payload baselines
 # --------------------------------------------------------------------------- #
 def _random_digraph_bits(n: int, rng: np.random.Generator, density: float = 0.01):
     mat = rng.random((n, n)) < density
@@ -237,19 +197,13 @@ def _closure_maintenance(n: int, reps: int) -> dict:
 
 
 def _registry_process(name: str, n: int):
-    """One newly-shardable process on its benchmark workload.
+    """One payload baseline on its benchmark workload.
 
-    The payload baselines start from a dense Watts–Strogatz graph (average
-    degree ``REGISTRY_DEGREE``) so the rounds are in the row-union regime
-    where shard locality pays — on a sparse start the O(n²/8) delta
-    accumulator dominates and sharding is pure overhead, exactly like the
-    push row of the PR4 table.  The directed walk's gossip-class rounds are
-    O(n), so its row prices the shard-merge overhead.
+    Both start from a dense Watts–Strogatz graph (average degree
+    ``REGISTRY_DEGREE``) so the rounds are in the row-union regime where
+    shard locality pays — on a sparse start the O(n²/8) delta accumulator
+    dominates and sharding is pure overhead.
     """
-    if name == "directed_walk":
-        return DirectedTwoHopWalk(
-            dgen.thm15_strong_lower_bound(n), rng=BENCH_SEED
-        )
     rng = np.random.default_rng(BENCH_SEED)
     graph = gen.watts_strogatz_graph(n, REGISTRY_DEGREE, 0.05, rng)
     if name == "name_dropper":
@@ -258,7 +212,7 @@ def _registry_process(name: str, n: int):
 
 
 def _time_registry_rounds(name: str, n: int, shards: int, rounds: int) -> dict:
-    """Wall seconds for ``rounds`` rounds of one newly-shardable process."""
+    """Wall seconds for ``rounds`` rounds of one payload baseline."""
     process = _registry_process(name, n)
     per_round = []
     start = time.perf_counter()
@@ -282,7 +236,7 @@ def _time_registry_rounds(name: str, n: int, shards: int, rounds: int) -> dict:
 
 
 def test_pr5_incremental_closure_and_sharded_registry(benchmark, smoke):
-    """PR5: incremental-vs-recompute closure + the full registry sharded."""
+    """Incremental-vs-recompute closure + the payload baselines sharded."""
     closure_sizes = SMOKE_CLOSURE_SIZES if smoke else CLOSURE_SIZES
     registry_n = SMOKE_REGISTRY_N if smoke else REGISTRY_N
     shard_counts = SMOKE_REGISTRY_SHARDS if smoke else REGISTRY_SHARDS
@@ -292,7 +246,7 @@ def test_pr5_incremental_closure_and_sharded_registry(benchmark, smoke):
         results = {"closure": [], "registry": []}
         for n in closure_sizes:
             results["closure"].append(_closure_maintenance(n, reps))
-        for name in ("directed_walk", "name_dropper", "pointer_jump"):
+        for name in ("name_dropper", "pointer_jump"):
             rows = [_time_registry_rounds(name, registry_n, 1, REGISTRY_ROUNDS)]
             base_s = rows[0]["seconds"]
             for shards in shard_counts:
@@ -316,7 +270,7 @@ def test_pr5_incremental_closure_and_sharded_registry(benchmark, smoke):
         ["n", "batches", "batch_edges", "incremental_s", "recompute_s", "speedup"],
     )
     print_table(
-        "PR5 newly-shardable registry (fixed rounds, in-process shards)",
+        "Sharded payload baselines (fixed rounds, in-process shards)",
         results["registry"],
         ["process", "n", "shards", "seconds", "per_round_ms", "speedup"],
     )

@@ -104,8 +104,9 @@ def measure_scaling(
     poly_exponent:
         Fixed polynomial exponent for the theorem-shaped fit.
     shards:
-        Row-shard count for the round engine (see
-        :mod:`repro.simulation.sharding`).
+        Row-shard count for the round engine; more than one suits only
+        the row-OR processes (see
+        :func:`repro.simulation.engine.check_shards`).
     """
     if len(sizes) < 2:
         raise ValueError("scaling measurement needs at least two sizes")

@@ -32,7 +32,7 @@ from repro.graphs.directed_generators import directed_family_names
 from repro.graphs.generators import family_names
 from repro.network.protocols import protocol_names
 from repro.simulation import io as sim_io
-from repro.simulation.engine import process_names
+from repro.simulation.engine import check_shards, process_names
 from repro.simulation.experiment import ExperimentSpec
 from repro.simulation.runner import run_trials, summarize_trials
 from repro.social.group_discovery import discover_group
@@ -77,9 +77,21 @@ def _save_rows(rows, args) -> None:
     print(f"\nsaved {len(rows)} rows to {path}")
 
 
+def _shards_refused(args: argparse.Namespace) -> bool:
+    """Print one stderr line and return ``True`` if ``--shards`` does not suit ``--process``."""
+    try:
+        check_shards(args.process, args.shards)
+    except ValueError as exc:
+        print(f"repro-gossip {args.command}: {exc}", file=sys.stderr)
+        return True
+    return False
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     if args.checkpoint_every and not args.checkpoint_dir:
         print("--checkpoint-every requires --checkpoint-dir", file=sys.stderr)
+        return 2
+    if _shards_refused(args):
         return 2
     spec = ExperimentSpec(
         process=args.process,
@@ -138,6 +150,8 @@ def _cmd_resume(args: argparse.Namespace) -> int:
 
 
 def _cmd_scaling(args: argparse.Namespace) -> int:
+    if _shards_refused(args):
+        return 2
     measurement = measure_scaling(
         process=args.process,
         family=args.family,
@@ -226,7 +240,6 @@ def _cmd_directed(args: argparse.Namespace) -> int:
         seed=args.seed,
         directed=True,
         poly_exponent=2.0,
-        shards=args.shards,
     )
     _print_table(measurement.as_rows())
     print()
@@ -313,8 +326,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     Every ``--process``/``--family``/``--protocol`` option derives its
     ``choices=`` from the live registries, so registering a new process or
-    family surfaces it here automatically — and the repro-lint
-    ``registry-consistency`` checker cross-checks exactly that coupling.
+    family surfaces it here automatically (``tests/test_cli.py`` checks
+    that coupling).
     """
     all_families = sorted(set(family_names()) | set(directed_family_names()))
     parser = argparse.ArgumentParser(
@@ -334,7 +347,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--shards",
         type=int,
         default=1,
-        help="row-shard count for the round engine (every registered process is shardable)",
+        help="row-shard count for the round engine (flooding, name_dropper and "
+        "pointer_jump[_directed] only; other processes refuse more than 1)",
     )
     p_run.add_argument(
         "--processes",
@@ -401,7 +415,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--shards",
         type=int,
         default=1,
-        help="row-shard count for the round engine (every registered process is shardable)",
+        help="row-shard count for the round engine (flooding, name_dropper and "
+        "pointer_jump[_directed] only; other processes refuse more than 1)",
     )
     p_scaling.add_argument("--save", default=None, help="write results to a .json or .csv file")
     p_scaling.set_defaults(func=_cmd_scaling)
@@ -426,12 +441,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_dir.add_argument("--sizes", type=int, nargs="+", default=[8, 16, 24])
     p_dir.add_argument("--trials", type=int, default=3)
     p_dir.add_argument("--seed", type=int, default=None)
-    p_dir.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help="row-shard count for the directed walk's rounds",
-    )
     p_dir.set_defaults(func=_cmd_directed)
 
     p_async = sub.add_parser(

@@ -124,8 +124,9 @@ class ScheduledProcess:
     def __init__(self, process: DiscoveryProcess, schedule: ActivationSchedule) -> None:
         if not isinstance(process, DiscoveryProcess):
             # Only the base round machinery consults participating_nodes();
-            # patching it onto another wrapper (e.g. a ShardedProcess, whose
-            # multi-shard rounds assume full activation) would be a silent
+            # patching it onto another wrapper (e.g. a ShardedProcess over a
+            # row-OR process, whose multi-shard rounds assume full
+            # activation) would be a silent
             # no-op — the exact failure mode this module exists to prevent.
             raise TypeError(
                 f"ScheduledProcess wraps DiscoveryProcess instances, got "

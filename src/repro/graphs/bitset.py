@@ -284,9 +284,9 @@ def or_into_range(dst_bits: np.ndarray, lo: int, src_block: np.ndarray) -> None:
 class DeltaRows:
     """Accumulator for one round's packed membership delta across shards.
 
-    Shards report their contribution either as proposed edge endpoint
-    arrays (:meth:`add_edges` — the gossip processes) or as a packed block
-    of their own rows (:meth:`or_into_range` — the row-union baselines).
+    Shards report their contribution as a packed block of their own rows
+    (:meth:`or_into_range` — the row-union baselines); :meth:`add_edges`
+    records loose edge endpoints.
     The accumulated delta is merged into a final edge list with
     :meth:`new_edges`, which masks out already-present edges and reports
     the genuinely new ones in canonical row-major order — an order that

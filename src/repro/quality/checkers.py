@@ -1,4 +1,4 @@
-"""Built-in file-scope checkers for repro-lint.
+"""Built-in syntax checkers for repro-lint.
 
 Each checker closes one bug class that the reproduction's contracts
 depend on (see ``docs/linting.md`` for the rule-by-rule rationale):
@@ -9,8 +9,9 @@ depend on (see ``docs/linting.md`` for the rule-by-rule rationale):
 * ``exception-hygiene`` — no broad handler may swallow silently.
 * ``atomic-write`` — result files go through ``io.atomic_write_*``.
 
-The project-scope ``registry-consistency`` checker lives in
-:mod:`repro.quality.registry_check`.
+Importing this module is the "load the built-in rules" hook (framework
+does it lazily); the flow-sensitive CFG/dataflow rules arrive with its
+``flow_checkers`` import.
 """
 
 from __future__ import annotations
@@ -331,9 +332,3 @@ class AtomicWriteChecker(Checker):
                     f".{func.attr}() is a non-atomic write — use "
                     "io.atomic_write_bytes/atomic_write_text",
                 )
-
-
-# Importing this module is the "load the built-in rules" hook (framework
-# does it lazily); the flow-sensitive CFG/dataflow rules arrive with the
-# import at the top, and the project-scope checker here.
-from repro.quality import registry_check as _registry_check  # noqa: E402,F401

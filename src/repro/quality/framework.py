@@ -10,10 +10,8 @@ run, before any test executes.
 Architecture
 ------------
 * :class:`Finding` — one structured report: ``(path, line, rule, message)``.
-* :class:`Checker` — base class.  File-scope checkers receive a parsed
-  :class:`FileContext` per source file; project-scope checkers (``scope =
-  "project"``) run once per lint invocation and cross-check live state
-  (e.g. the process/family registries).
+* :class:`Checker` — base class.  A checker receives a parsed
+  :class:`FileContext` per source file.
 * :data:`CHECKER_REGISTRY` / :func:`register_checker` — rule-id keyed
   plugin registry.  Adding a checker is: subclass, set ``rule_id`` and
   ``description``, decorate with ``@register_checker``.
@@ -161,26 +159,20 @@ class Checker:
     """Base class for repro-lint rules.
 
     Subclasses set :attr:`rule_id` (the pragma-addressable identifier) and
-    :attr:`description`, then implement :meth:`check_file` (``scope =
-    "file"``, the default) or :meth:`check_project` (``scope =
-    "project"``).  :meth:`applies_to` lets a rule exempt whole paths (the
-    layer that legitimately owns the banned construct).
+    :attr:`description`, then implement :meth:`check_file`.
+    :meth:`applies_to` lets a rule exempt whole paths (the layer that
+    legitimately owns the banned construct).
     """
 
     rule_id: ClassVar[str] = ""
     description: ClassVar[str] = ""
-    scope: ClassVar[str] = "file"
 
     def applies_to(self, path: Path) -> bool:
         """Whether this rule runs on ``path`` (``True`` unless overridden)."""
         return True
 
     def check_file(self, ctx: FileContext) -> Iterator[Finding]:
-        """Yield findings for one parsed source file (file-scope rules)."""
-        return iter(())
-
-    def check_project(self, root: Optional[Path]) -> Iterator[Finding]:
-        """Yield findings for the project as a whole (project-scope rules)."""
+        """Yield findings for one parsed source file."""
         return iter(())
 
     def finding(self, ctx_or_path: object, line: int, message: str) -> Finding:
@@ -377,15 +369,11 @@ def _make_checkers(rules: Optional[Sequence[str]]) -> List[Checker]:
 def run_lint(
     paths: Sequence[object],
     rules: Optional[Sequence[str]] = None,
-    include_project: bool = True,
-    project_root: Optional[Path] = None,
     exclude: Sequence[str] = (),
 ) -> List[Finding]:
     """Lint ``paths`` (files or directories) and return unsuppressed findings.
 
     ``rules`` selects a subset of :data:`CHECKER_REGISTRY` (default: all).
-    ``include_project=False`` skips project-scope checkers (the registry
-    cross-check), which is what fixture-corpus tests want.
     ``exclude`` drops files whose display path matches any glob.
 
     Findings come back sorted by ``(path, line, rule)``; an empty list is
@@ -394,10 +382,7 @@ def run_lint(
     # Importing registers the built-in checkers exactly once.
     from repro.quality import checkers as _checkers  # noqa: F401
 
-    checker_objs = _make_checkers(rules)
-    file_checkers = [c for c in checker_objs if c.scope == "file"]
-    project_checkers = [c for c in checker_objs if c.scope == "project"]
-
+    checkers = _make_checkers(rules)
     findings: List[Finding] = []
     sheets: Dict[str, PragmaSheet] = {}
 
@@ -424,33 +409,14 @@ def run_lint(
             continue
         ctx = FileContext(path=path, display=display, source=source, tree=tree)
         raw: List[Finding] = []
-        for checker in file_checkers:
+        for checker in checkers:
             if checker.applies_to(path):
                 raw.extend(checker.check_file(ctx))
         findings.extend(sheet.filter(raw))
 
-    if include_project:
-        for checker in project_checkers:
-            project_findings = list(checker.check_project(project_root))
-            for finding in project_findings:
-                sheet = sheets.get(finding.path)
-                if sheet is None:
-                    # Anchor file was not part of this lint run: load its
-                    # pragmas for suppression but do not judge them stale.
-                    anchor = Path(finding.path)
-                    try:
-                        sheet = PragmaSheet(finding.path, anchor.read_text(encoding="utf-8"))
-                    except OSError:
-                        findings.append(finding)
-                        continue
-                kept = sheet.filter([finding])
-                findings.extend(kept)
-
     # Stale-suppression sweep over the files we actually linted, judging
     # only the rules that actually ran.
-    active_rules = {c.rule_id for c in file_checkers}
-    if include_project:
-        active_rules |= {c.rule_id for c in project_checkers}
+    active_rules = {c.rule_id for c in checkers}
     for sheet in sheets.values():
         findings.extend(sheet.unused_findings(active_rules))
 
@@ -462,10 +428,10 @@ def lint_text(
     display: str = "<memory>",
     rules: Optional[Sequence[str]] = None,
 ) -> List[Finding]:
-    """Lint a source string with the file-scope rules (test/tooling helper)."""
+    """Lint a source string (test/tooling helper)."""
     from repro.quality import checkers as _checkers  # noqa: F401
 
-    checker_objs = [c for c in _make_checkers(rules) if c.scope == "file"]
+    checker_objs = _make_checkers(rules)
     findings: List[Finding] = []
     sheet = PragmaSheet(display, source)
     findings.extend(sheet.syntax_findings)
@@ -525,11 +491,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="run only these rules (default: all registered rules)",
     )
     parser.add_argument(
-        "--no-registry",
-        action="store_true",
-        help="skip project-scope checks (the registry-consistency cross-check)",
-    )
-    parser.add_argument(
         "--format",
         choices=["text", "json", "github"],
         default="text",
@@ -564,12 +525,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 0
 
     paths: Sequence[object] = args.paths or _default_paths()
-    findings = run_lint(
-        paths,
-        rules=args.rules,
-        include_project=not args.no_registry,
-        exclude=args.exclude,
-    )
+    findings = run_lint(paths, rules=args.rules, exclude=args.exclude)
     if args.output:
         write_report(args.output, paths, args.rules, findings)
     if args.format == "json":

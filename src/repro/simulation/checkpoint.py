@@ -6,7 +6,7 @@ the *complete* dynamic state of a trial — graph, process counters, and the
 RNG — and restores it so that a resumed run is **draw-for-draw identical**
 to the uninterrupted one: same contact graphs round by round, same final
 bit-generator state.  The property is pinned by ``tests/test_checkpoint.py``
-for every registered process, sharded and not.
+for every registered process, and for the row-OR processes sharded too.
 
 Checkpoint file format (version 1)
 ----------------------------------
@@ -47,6 +47,10 @@ plain or wrapped in :class:`~repro.simulation.sharding.ShardedProcess`.
 Instance-patched processes (a :class:`~repro.core.variants.ChurnModel`
 overlay's guarded ``propose``) and unregistered subclasses raise
 :class:`CheckpointError`: their extra state lives outside the format.
+A checkpoint whose meta asks for ``shards > 1`` on a process that is no
+longer shardable (push, pull or the directed walk, written by an older
+version) fails :func:`restore_process` with the ``ValueError`` of
+:func:`~repro.simulation.engine.check_shards`, before any round runs.
 """
 
 from __future__ import annotations

@@ -29,6 +29,7 @@ from repro.graphs.array_adjacency import ArrayDiGraph, ArrayGraph
 __all__ = [
     "PROCESS_REGISTRY",
     "make_process",
+    "check_shards",
     "run_process",
     "measure_convergence_rounds",
     "process_names",
@@ -54,6 +55,28 @@ def process_names() -> Sequence[str]:
     return sorted(PROCESS_REGISTRY)
 
 
+def check_shards(name: str, shards: int) -> None:
+    """Raise ``ValueError`` unless process ``name`` can run with ``shards`` row shards.
+
+    ``shards=1`` suits every process.  More shards suit only the row-OR
+    processes of :data:`repro.simulation.sharding.SHARDABLE_PROCESSES`;
+    the message names the refused process and lists the shardable ones.
+    """
+    if shards < 1:
+        raise ValueError(f"shard count must be >= 1, got {shards}")
+    if shards == 1:
+        return
+    # Imported here: sharding sits one layer above the engine registry.
+    from repro.simulation.sharding import SHARDABLE_PROCESSES
+
+    shardable = [n for n, (ctor, _) in PROCESS_REGISTRY.items() if ctor in SHARDABLE_PROCESSES]
+    if name not in shardable:
+        raise ValueError(
+            f"process {name!r} cannot be sharded (shards={shards}); "
+            f"shardable processes: {sorted(shardable)}"
+        )
+
+
 def make_process(
     name: str,
     graph: GraphLike,
@@ -68,24 +91,24 @@ def make_process(
 
     ``shards > 1`` wraps the process in
     :class:`repro.simulation.sharding.ShardedProcess`, which runs each
-    round's propose phase over contiguous row shards and OR-merges the
-    packed deltas (every registered process is shardable — see
-    :data:`repro.simulation.sharding.SHARDABLE_PROCESSES`, which covers
-    the gossip processes, the directed two-hop walk and the payload
-    baselines).  ``shard_seed`` feeds the per-round shard
+    round's row unions over contiguous row shards and OR-merges the packed
+    deltas.  Only flooding, Name Dropper and pointer jump are shardable
+    (see :func:`check_shards`).  ``shard_seed`` feeds the per-round shard
     streams (e.g. the trial's ``SeedSequence``); ``shard_parallel``
     selects the process-pool path (``None`` = auto by size).  ``shards=1``
     returns the plain process — draw-for-draw identical to not passing
     ``shards`` at all.
 
-    Raises ``KeyError`` for unknown names and ``TypeError`` when the graph
+    Raises ``KeyError`` for unknown names, ``TypeError`` when the graph
     kind does not match the process (e.g. an undirected graph passed to
-    ``"directed_pull"``).
+    ``"directed_pull"``) and ``ValueError``, before building anything,
+    when the process cannot run with ``shards`` shards.
     """
     try:
         ctor, needs_directed = PROCESS_REGISTRY[name]
     except KeyError:
         raise KeyError(f"unknown process {name!r}; known: {list(process_names())}") from None
+    check_shards(name, shards)
     directed_graph = bool(getattr(graph, "directed", False))
     if needs_directed and not directed_graph:
         raise TypeError(f"process {name!r} requires a directed graph")
@@ -93,11 +116,8 @@ def make_process(
         # pointer_jump accepts both kinds; all other undirected processes do not.
         if name != "pointer_jump":
             raise TypeError(f"process {name!r} requires an undirected graph")
-    if shards < 1:
-        raise ValueError(f"shard count must be >= 1, got {shards}")
     process = ctor(graph, rng=rng, semantics=semantics, **kwargs)
     if shards > 1:
-        # Imported here: sharding sits one layer above the engine registry.
         from repro.simulation.sharding import ShardedProcess
 
         return ShardedProcess(process, shards=shards, seed=shard_seed, parallel=shard_parallel)

@@ -50,9 +50,12 @@ class ExperimentSpec:
         Optional hard cap per trial (defaults to the process's own cap).
     shards:
         Row-shard count for the round engine (default 1 = unsharded).
-        Every registered process is shardable (gossip, the directed walk
-        and the payload baselines alike).  Each trial's shard streams are spawned from the
-        trial's own ``SeedSequence`` (see :mod:`repro.simulation.sharding`).
+        Only the row-OR processes (flooding, Name Dropper, pointer jump)
+        accept more than one shard; the others raise ``ValueError`` when
+        a trial builds them (see
+        :func:`repro.simulation.engine.check_shards`).  Each trial's shard
+        streams are spawned from the trial's own ``SeedSequence`` (see
+        :mod:`repro.simulation.sharding`).
     shard_parallel:
         ``True``/``False`` force the process-pool / in-process sharded
         path; ``None`` (default) selects by graph size.

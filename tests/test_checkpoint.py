@@ -95,7 +95,10 @@ def test_resume_equivalence_every_process(name, tmp_path):
     interrupted.run(max_rounds=CHECKPOINT_AT)
     k = interrupted.round_index  # fast convergers stop before CHECKPOINT_AT
     path = save_checkpoint(interrupted, tmp_path / f"round_{k:08d}")
-    resumed = restore_process(load_checkpoint(path))
+    saved = load_checkpoint(path)
+    # The reverse lookup (ctor, directed) -> name is unambiguous.
+    assert saved.process_name == name
+    resumed = restore_process(saved)
     assert_same_end_state(interrupted, resumed)
 
     uninterrupted.run_to_convergence()
@@ -125,6 +128,19 @@ def test_resume_equivalence_sharded(name, shards, tmp_path):
             close = getattr(process, "close", None)
             if close is not None:
                 close()
+
+
+@pytest.mark.parametrize("name", ["push", "pull", "directed_pull"])
+def test_sharded_gossip_checkpoint_fails_by_name(name, tmp_path):
+    """An older checkpoint of a sharded gossip run is refused before any round."""
+    process = build(name)
+    process.run(max_rounds=2)
+    path = save_checkpoint(process, tmp_path / "snap")
+    envelope = json.loads(path.read_text())
+    envelope["meta"].update(shards=3, shard_entropy=777, shard_parallel=False)
+    path.write_text(json.dumps(envelope))
+    with pytest.raises(ValueError, match=f"process '{name}' cannot be sharded"):
+        restore_process(load_checkpoint(path))
 
 
 def _list_graph_payload(graph):

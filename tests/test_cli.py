@@ -127,3 +127,91 @@ class TestCommands:
                          "--sizes", "6", "10", "--trials", "1", "--seed", "5"]) == 0
         out = capsys.readouterr().out
         assert "power-law fit" in out
+
+
+class TestShardsOption:
+    """``--shards N`` (N > 1) suits only the row-OR processes."""
+
+    @pytest.fixture
+    def no_trials(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a refused --shards must stop before any trial")
+
+        monkeypatch.setattr(cli, "run_trials", refuse)
+        monkeypatch.setattr(cli, "measure_scaling", refuse)
+
+    @pytest.mark.parametrize("process", ["push", "faulty_push"])
+    @pytest.mark.parametrize(
+        "command",
+        [["run", "--n", "12"], ["scaling", "--sizes", "8", "16"]],
+        ids=["run", "scaling"],
+    )
+    def test_gossip_process_is_refused(self, capsys, no_trials, command, process):
+        argv = [*command, "--process", process, "--shards", "2", "--seed", "1"]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert f"process '{process}' cannot be sharded" in lines[0]
+        assert "'flooding'" in lines[0]
+
+    @pytest.mark.parametrize(
+        "command",
+        [["run", "--n", "16"], ["scaling", "--sizes", "8", "16"]],
+        ids=["run", "scaling"],
+    )
+    def test_flooding_is_accepted(self, capsys, command):
+        argv = [*command, "--process", "flooding", "--shards", "2",
+                "--trials", "1", "--seed", "1"]
+        assert cli.main(argv) == 0
+        assert "rounds_mean" in capsys.readouterr().out
+
+    def test_directed_has_no_shards_option(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["directed", "--shards", "2"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --shards" in capsys.readouterr().err
+
+
+def _registries():
+    from repro.graphs.directed_generators import directed_family_names
+    from repro.graphs.generators import family_names
+    from repro.network.protocols import protocol_names
+    from repro.simulation.engine import PROCESS_REGISTRY
+
+    return {
+        "processes": set(PROCESS_REGISTRY),
+        "families": set(family_names()),
+        "directed_families": set(directed_family_names()),
+        "all_families": set(family_names()) | set(directed_family_names()),
+        "protocols": set(protocol_names()),
+    }
+
+
+@pytest.mark.parametrize(
+    "command, dest, registry",
+    [
+        ("run", "process", "processes"),
+        ("scaling", "process", "processes"),
+        ("nonmonotone", "process", "processes"),
+        ("group", "process", "processes"),
+        ("run", "family", "all_families"),
+        ("scaling", "family", "all_families"),
+        ("group", "host_family", "families"),
+        ("async", "family", "families"),
+        ("directed", "family", "directed_families"),
+        ("async", "protocol", "protocols"),
+    ],
+)
+def test_cli_choices_agree_with_registries(command, dest, registry):
+    """Every choice the CLI offers, and its default, is a registered name."""
+    subparsers = next(
+        action.choices
+        for action in cli.build_parser()._actions
+        if isinstance(action.choices, dict)
+    )
+    (option,) = [a for a in subparsers[command]._actions if a.dest == dest]
+    expected = _registries()[registry]
+    assert option.choices is not None and set(option.choices) <= expected
+    assert option.default in expected

@@ -97,7 +97,9 @@ class TestRunnerFaults:
 def sharded(n=64, parallel=None, **kwargs):
     rng = np.random.default_rng(3)
     graph = gen.make_family("cycle", n, rng)
-    process = make_process("push", graph, rng=rng)
+    # Name Dropper draws a uniform per node each round, so a retried round
+    # must replay the dead attempt's draws to land on the same edges.
+    process = make_process("name_dropper", graph, rng=rng)
     return ShardedProcess(process, shards=3, seed=999, parallel=parallel, **kwargs)
 
 

@@ -158,7 +158,7 @@ class TestNoStaleBackendGuards:
         from repro.quality import run_lint
 
         offenders = run_lint(
-            [SRC_ROOT], rules=["capability-guard"], include_project=False
+            [SRC_ROOT], rules=["capability-guard"]
         )
         assert not offenders, (
             "stale isinstance(DynamicGraph) backend guards found (use the "

@@ -234,7 +234,7 @@ class TestFlowFixtureCorpus:
     @pytest.mark.parametrize("rule", FLOW_RULES)
     def test_bad_fixture_fires(self, rule):
         fixture = DATA / f"bad_{rule.replace('-', '_')}.py"
-        findings = run_lint([fixture], rules=[rule], include_project=False)
+        findings = run_lint([fixture], rules=[rule])
         assert findings, f"{fixture.name} must produce {rule} findings"
         assert all(f.rule == rule for f in findings)
         assert all(f.path == str(fixture) and f.line > 0 for f in findings)
@@ -242,21 +242,20 @@ class TestFlowFixtureCorpus:
     @pytest.mark.parametrize("rule", FLOW_RULES)
     def test_allowed_twin_passes(self, rule):
         fixture = DATA / f"allowed_{rule.replace('-', '_')}.py"
-        findings = run_lint([fixture], rules=[rule], include_project=False)
+        findings = run_lint([fixture], rules=[rule])
         assert findings == [], [str(f) for f in findings]
 
     def test_allowed_corpus_clean_under_all_flow_rules(self):
         # pragmas from one flow rule must not read as stale to another
         for rule in FLOW_RULES:
             fixture = DATA / f"allowed_{rule.replace('-', '_')}.py"
-            findings = run_lint([fixture], rules=FLOW_RULES, include_project=False)
+            findings = run_lint([fixture], rules=FLOW_RULES)
             assert findings == [], [str(f) for f in findings]
 
     def test_bad_resource_leak_covers_every_kind(self):
         findings = run_lint(
             [DATA / "bad_resource_leak.py"],
             rules=["resource-leak"],
-            include_project=False,
         )
         blob = "\n".join(f.message for f in findings)
         for marker in ("SharedMemory", "mkstemp", "open", "ProcessPoolExecutor"):
@@ -472,7 +471,6 @@ class TestOutputFormats:
         code = main(
             [
                 str(DATA / "bad_resource_leak.py"),
-                "--no-registry",
                 "--rules",
                 "resource-leak",
                 "--format",
@@ -498,7 +496,6 @@ class TestOutputFormats:
         code = main(
             [
                 str(DATA / "bad_pickle_safety.py"),
-                "--no-registry",
                 "--rules",
                 "pickle-safety",
                 "--output",
@@ -524,7 +521,6 @@ class TestOutputFormats:
             [
                 "lint",
                 str(DATA / "allowed_pickle_safety.py"),
-                "--no-registry",
                 "--rules",
                 "pickle-safety",
                 "--format",
@@ -549,6 +545,6 @@ class TestSourceTreeFlowClean:
             Path(__file__).parent / "make_golden_traces.py",
         ]
         findings = run_lint(
-            targets, rules=["determinism", *FLOW_RULES], include_project=False
+            targets, rules=["determinism", *FLOW_RULES]
         )
         assert findings == [], "\n" + "\n".join(str(f) for f in findings)

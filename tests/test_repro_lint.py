@@ -6,8 +6,8 @@ Three layers of coverage:
   ``tests/data/lint/`` must fire and its pragma'd twin must pass;
 * framework semantics — pragma targeting, malformed/unknown/stale pragma
   findings, parse-error findings, rule selection, CLI exit codes;
-* the real tree — ``src/repro/`` lints clean end-to-end (registry
-  cross-check included), which is the contract CI enforces.
+* the real tree — ``src/repro/`` lints clean end-to-end, which is the
+  contract CI enforces.
 """
 
 from __future__ import annotations
@@ -18,13 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.quality import CHECKER_REGISTRY, Finding, lint_text, main, run_lint
-from repro.quality.registry_check import (
-    RegistryConsistencyChecker,
-    RegistrySnapshot,
-    collect_snapshot,
-    cross_check,
-)
+from repro.quality import CHECKER_REGISTRY, lint_text, main, run_lint
 
 DATA = Path(__file__).parent / "data" / "lint"
 SRC_ROOT = Path(__file__).parents[1] / "src" / "repro"
@@ -39,7 +33,7 @@ class TestFixtureCorpus:
     @pytest.mark.parametrize("rule", FILE_RULES)
     def test_bad_fixture_fires(self, rule):
         fixture = DATA / f"bad_{rule.replace('-', '_')}.py"
-        findings = run_lint([fixture], rules=[rule], include_project=False)
+        findings = run_lint([fixture], rules=[rule])
         assert findings, f"{fixture.name} must produce {rule} findings"
         assert all(f.rule == rule for f in findings)
         assert all(f.path == str(fixture) and f.line > 0 for f in findings)
@@ -47,20 +41,20 @@ class TestFixtureCorpus:
     @pytest.mark.parametrize("rule", FILE_RULES)
     def test_allowed_twin_passes(self, rule):
         fixture = DATA / f"allowed_{rule.replace('-', '_')}.py"
-        findings = run_lint([fixture], rules=[rule], include_project=False)
+        findings = run_lint([fixture], rules=[rule])
         assert findings == [], [str(f) for f in findings]
 
     def test_bad_corpus_counts(self):
         # The bad determinism fixture has one violation per entropy source.
         fixture = DATA / "bad_determinism.py"
-        findings = run_lint([fixture], rules=["determinism"], include_project=False)
+        findings = run_lint([fixture], rules=["determinism"])
         assert len(findings) >= 5  # default_rng, np draw, 2 stdlib, 2 wall-clock
 
     def test_allowed_corpus_is_fully_clean(self):
         # All rules together (pragmas from one rule must not trip another).
         for rule in FILE_RULES:
             fixture = DATA / f"allowed_{rule.replace('-', '_')}.py"
-            findings = run_lint([fixture], include_project=False)
+            findings = run_lint([fixture])
             assert findings == [], [str(f) for f in findings]
 
 
@@ -151,14 +145,14 @@ class TestFramework:
     def test_findings_are_sorted_and_printable(self):
         findings = run_lint(
             [DATA / "bad_determinism.py", DATA / "bad_atomic_write.py"],
-            include_project=False,
         )
         assert findings == sorted(findings)
         rendered = str(findings[0])
         assert findings[0].path in rendered and f"[{findings[0].rule}]" in rendered
 
-    def test_registry_has_the_five_shipped_rules(self):
-        assert set(FILE_RULES) | {"registry-consistency"} <= set(CHECKER_REGISTRY)
+    def test_registry_has_the_syntax_rules(self):
+        assert set(FILE_RULES) <= set(CHECKER_REGISTRY)
+        assert "registry-consistency" not in CHECKER_REGISTRY
 
     def test_io_py_is_exempt_from_atomic_write(self):
         checker = CHECKER_REGISTRY["atomic-write"]()
@@ -212,66 +206,20 @@ class TestAtomicWriteModes:
 
 
 # --------------------------------------------------------------------------- #
-# registry-consistency
-# --------------------------------------------------------------------------- #
-class TestRegistryConsistency:
-    def test_allowed_snapshot_is_clean(self):
-        snapshot = RegistrySnapshot.from_json(
-            json.loads((DATA / "allowed_registry.json").read_text())
-        )
-        assert cross_check(snapshot) == []
-
-    def test_bad_snapshot_fires_every_invariant(self):
-        snapshot = RegistrySnapshot.from_json(
-            json.loads((DATA / "bad_registry.json").read_text())
-        )
-        problems = cross_check(snapshot)
-        anchors = {anchor for anchor, _ in problems}
-        assert anchors == {
-            "shardable",
-            "unshardable",
-            "shard_kinds",
-            "checkpoint",
-            "cli",
-        }
-        messages = "\n".join(m for _, m in problems)
-        assert "ghost" in messages  # stale exemption
-        assert "pull_v2" in messages  # undeclared shard kind
-        assert "push2" in messages  # ambiguous checkpoint lookup
-        assert "carrier_pigeon" in messages  # bad CLI default
-
-    def test_live_registries_are_consistent(self):
-        assert cross_check(collect_snapshot()) == []
-
-    def test_live_break_is_detected(self, monkeypatch):
-        # Un-exempt the faulty variants: they are registered but unshardable,
-        # so the invariant "registered => shardable or exempt" must fire.
-        import repro.simulation.sharding as sharding
-
-        monkeypatch.setattr(sharding, "UNSHARDABLE_PROCESSES", frozenset())
-        findings = list(RegistryConsistencyChecker().check_project(None))
-        assert findings
-        assert all(isinstance(f, Finding) for f in findings)
-        assert any("faulty_push" in f.message for f in findings)
-        # The finding anchors at the SHARDABLE_PROCESSES definition site.
-        assert any(f.path.endswith("sharding.py") and f.line > 1 for f in findings)
-
-
-# --------------------------------------------------------------------------- #
 # CLI entry points
 # --------------------------------------------------------------------------- #
 class TestCli:
     def test_exit_one_on_findings(self, capsys):
-        assert main([str(DATA / "bad_determinism.py"), "--no-registry"]) == 1
+        assert main([str(DATA / "bad_determinism.py")]) == 1
         out = capsys.readouterr().out
         assert "[determinism]" in out
 
     def test_exit_zero_on_clean(self, capsys):
-        assert main([str(DATA / "allowed_determinism.py"), "--no-registry"]) == 0
+        assert main([str(DATA / "allowed_determinism.py")]) == 0
         assert "0 findings" in capsys.readouterr().out
 
     def test_json_format(self, capsys):
-        assert main([str(DATA / "bad_atomic_write.py"), "--no-registry", "--format", "json"]) == 1
+        assert main([str(DATA / "bad_atomic_write.py"), "--format", "json"]) == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload and all(
             set(item) == {"path", "line", "rule", "message"} for item in payload
@@ -281,11 +229,11 @@ class TestCli:
         assert main(["--list-rules"]) == 0
         listed = {line.split()[0] for line in capsys.readouterr().out.splitlines()}
         flow_rules = {"resource-leak", "rng-discipline", "pickle-safety"}
-        assert listed == set(FILE_RULES) | flow_rules | {"registry-consistency"}
+        assert listed == set(FILE_RULES) | flow_rules
 
     def test_rule_selection(self, capsys):
         code = main(
-            [str(DATA / "bad_determinism.py"), "--no-registry", "--rules", "atomic-write"]
+            [str(DATA / "bad_determinism.py"), "--rules", "atomic-write"]
         )
         assert code == 0  # determinism violations invisible to atomic-write
 
@@ -293,11 +241,11 @@ class TestCli:
         "args, code",
         [
             (["--list-rules"], 0),
-            (["--rules", "determinism", "--no-registry", str(DATA / "bad_determinism.py")], 1),
-            ([str(DATA / "bad_determinism.py"), "--no-registry", "--rules", "atomic-write"], 0),
-            ([str(DATA / "bad_determinism.py"), "--no-registry", "--format", "github"], 1),
-            ([str(DATA), "--no-registry", "--rules", "determinism"], 1),
-            ([str(DATA), "--no-registry", "--rules", "determinism", "--exclude", "*/bad_*"], 0),
+            (["--rules", "determinism", "--format", "text", str(DATA / "bad_determinism.py")], 1),
+            ([str(DATA / "bad_determinism.py"), "--rules", "atomic-write"], 0),
+            ([str(DATA / "bad_determinism.py"), "--format", "github"], 1),
+            ([str(DATA), "--rules", "determinism"], 1),
+            ([str(DATA), "--rules", "determinism", "--exclude", "*/bad_*"], 0),
         ],
     )
     def test_repro_gossip_lint_subcommand(self, capsys, args, code):
@@ -310,7 +258,8 @@ class TestCli:
         assert capsys.readouterr().out == direct
 
     @pytest.mark.parametrize(
-        "flag", [["--changed-only"], ["--no-summaries"], ["--summary-cache", "c.json"]]
+        "flag",
+        [["--changed-only"], ["--no-summaries"], ["--summary-cache", "c.json"], ["--no-registry"]],
     )
     @pytest.mark.parametrize("via_cli", [False, True])
     def test_retired_flags_are_rejected(self, capsys, flag, via_cli):

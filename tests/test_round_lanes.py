@@ -4,7 +4,8 @@ The goldens under ``tests/data/`` cover only the default synchronous
 processes.  This module pins every other way a round can run: the
 sequential ablation, without-replacement push, the directed walk and
 directed pointer jump, the faulty variants, the per-node fallback that a
-``ChurnModel`` forces, activation schedules, and in-process sharding.
+``ChurnModel`` forces, activation schedules, and in-process sharding of
+the row-OR processes.
 Each case records the round count, the three running totals and a digest
 of every round's added edges (hashed over ``int`` values, so NumPy and
 Python integers digest alike), on the array graph and, where a process
@@ -124,9 +125,6 @@ CASES: Dict[str, Callable] = {
     ),
     "scheduled_push": _scheduled_case(lambda s: PushDiscovery(_undirected(s), rng=14)),
     "scheduled_flooding": _scheduled_case(lambda s: NeighborhoodFlooding(_undirected(s), rng=15)),
-    "sharded_push": _sharded_case(lambda s: PushDiscovery(_undirected(s), rng=16)),
-    "sharded_pull": _sharded_case(lambda s: PullDiscovery(_undirected(s), rng=17)),
-    "sharded_walk": _sharded_case(lambda s: DirectedTwoHopWalk(_directed(s), rng=18)),
     "sharded_flooding": _sharded_case(lambda s: NeighborhoodFlooding(_undirected(s), rng=19)),
     "sharded_name_dropper": _sharded_case(lambda s: NameDropper(_undirected(s), rng=20)),
     "sharded_pointer_jump": _sharded_case(lambda s: RandomPointerJump(_undirected(s), rng=21)),
@@ -191,9 +189,6 @@ LANE_PINS: Dict[Tuple[str, str], Tuple[int, int, int, int, str]] = {
     ('scheduled_push', 'oracle'): (87, 104, 1374, 5496, '70f62aa2058e2d42'),
     ('scheduled_flooding', 'array'): (5, 104, 311, 13056, '96902ad360363bbb'),
     ('scheduled_flooding', 'oracle'): (5, 104, 311, 13056, '63ba4e144ab994b7'),
-    ('sharded_push', 'array'): (59, 104, 1888, 7552, '3d844ecfe0d640db'),
-    ('sharded_pull', 'array'): (40, 104, 1920, 7680, 'bc18dc53a9dfb04b'),
-    ('sharded_walk', 'array'): (43, 80, 1290, 5160, 'fef8b47cbf561492'),
     ('sharded_flooding', 'array'): (3, 104, 224, 6272, '0e47a70c06613f69'),
     ('sharded_name_dropper', 'array'): (7, 104, 112, 4368, '08b283168ff0d3ab'),
     ('sharded_pointer_jump', 'array'): (5, 104, 160, 2236, 'b114877697b44ce3'),

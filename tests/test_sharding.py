@@ -1,14 +1,17 @@
 """The sharded round engine's trace contract and plumbing.
 
+Only the row-OR processes (flooding, Name Dropper, pointer jump) shard.
 Three-way contract (see :mod:`repro.simulation.sharding`):
 
 * ``shards=1`` delegates to the wrapped process — draw-for-draw identical
   to the unsharded process;
 * a fixed ``(seed, shard count)`` always reproduces the same trajectory,
   in-process and on the process pool alike;
-* the per-round shard streams are shard-count invariant, so for push and
-  pull (and trivially for the deterministic flooding) the edge trajectory
-  is *identical* for any ``shards >= 2``.
+* the per-round shard streams are shard-count invariant, so the edge
+  trajectory is *identical* for any ``shards >= 2`` (trivially so for the
+  deterministic flooding).
+
+Push, pull, the directed walk and the faulty variants are refused.
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import cli
 from repro.baselines.flooding import NeighborhoodFlooding
 from repro.baselines.name_dropper import NameDropper
 from repro.baselines.pointer_jump import RandomPointerJump
@@ -24,11 +26,11 @@ from repro.core.base import UpdateSemantics
 from repro.core.directed import DirectedTwoHopWalk
 from repro.core.pull import PullDiscovery
 from repro.core.push import PushDiscovery
-from repro.core.variants import FaultyPushDiscovery
+from repro.core.variants import FaultyPullDiscovery, FaultyPushDiscovery
 from repro.graphs import bitset
 from repro.graphs import directed_generators as dgen
 from repro.graphs import generators as gen
-from repro.simulation.engine import make_process
+from repro.simulation.engine import PROCESS_REGISTRY, make_process
 from repro.simulation.experiment import ExperimentSpec
 from repro.simulation.runner import run_trials
 from repro.simulation.sharding import SHARDABLE_PROCESSES, ShardPlan, ShardedProcess
@@ -114,38 +116,6 @@ class TestShardMergeKernels:
 
 
 class TestTraceContract:
-    @pytest.mark.parametrize("process_cls", [PushDiscovery, PullDiscovery])
-    def test_shards_1_is_draw_for_draw_unsharded(self, process_cls):
-        plain = process_cls(gen.cycle_graph(20), rng=5)
-        ref = [sorted(canon(plain.step().added_edges)) for _ in range(6)]
-        assert trajectory(process_cls, 20, 5, shards=1) == ref
-        # ...and the wrapped process's generator consumed the same stream.
-        wrapped = process_cls(gen.cycle_graph(20), rng=5)
-        sharded = ShardedProcess(wrapped, shards=1)
-        for _ in range(6):
-            sharded.step()
-        assert (
-            plain.rng.bit_generator.state == wrapped.rng.bit_generator.state
-        )
-
-    @pytest.mark.parametrize("process_cls", [PushDiscovery, PullDiscovery])
-    def test_fixed_seed_fixed_trajectory(self, process_cls):
-        assert trajectory(process_cls, 24, 7, shards=3) == trajectory(
-            process_cls, 24, 7, shards=3
-        )
-
-    @pytest.mark.parametrize("process_cls", [PushDiscovery, PullDiscovery])
-    def test_cross_shard_count_equivalence(self, process_cls):
-        """The pinned invariant: any shards >= 2 yields the same trajectory."""
-        reference = trajectory(process_cls, 24, 7, shards=2)
-        for shards in (3, 4, 5):
-            assert trajectory(process_cls, 24, 7, shards=shards) == reference
-
-    def test_push_without_replacement_sharded(self):
-        a = trajectory(PushDiscovery, 20, 3, shards=2, without_replacement=True)
-        b = trajectory(PushDiscovery, 20, 3, shards=4, without_replacement=True)
-        assert a == b
-
     def test_flooding_sharded_equals_unsharded_rounds(self):
         """Flooding draws no randomness: sharded rounds add the same edge sets."""
         plain = NeighborhoodFlooding(gen.cycle_graph(32), rng=0)
@@ -162,20 +132,8 @@ class TestTraceContract:
             assert proc.total_messages == plain.total_messages
             assert proc.total_bits == plain.total_bits
 
-    def test_sharded_messages_match_unsharded_totals(self):
-        """Accounting is activation-shaped, not stream-shaped: totals agree."""
-        plain = PushDiscovery(gen.cycle_graph(24), rng=1)
-        for _ in range(5):
-            plain.step()
-        proc = PushDiscovery(gen.cycle_graph(24), rng=1)
-        with ShardedProcess(proc, shards=3) as sharded:
-            for _ in range(5):
-                sharded.step()
-        assert proc.total_messages == plain.total_messages
-        assert proc.total_bits == plain.total_bits
-
     def test_run_to_convergence_completes_the_graph(self):
-        proc = PullDiscovery(gen.cycle_graph(16), rng=1)
+        proc = NameDropper(gen.cycle_graph(16), rng=1)
         with ShardedProcess(proc, shards=2) as sharded:
             result = sharded.run_to_convergence(record_history=True)
         assert result.converged
@@ -185,13 +143,10 @@ class TestTraceContract:
 
 
 class TestFullRegistryTraceContract:
-    """PR 5: the directed walk and the payload baselines are shardable too."""
+    """The payload baselines (Name Dropper, pointer jump) shard like flooding."""
 
-    def test_registry_is_fully_shardable(self):
+    def test_shardable_set_is_the_row_or_kinds(self):
         assert set(SHARDABLE_PROCESSES) == {
-            PushDiscovery,
-            PullDiscovery,
-            DirectedTwoHopWalk,
             NeighborhoodFlooding,
             NameDropper,
             RandomPointerJump,
@@ -207,19 +162,6 @@ class TestFullRegistryTraceContract:
         assert got == ref
         assert plain.rng.bit_generator.state == wrapped.rng.bit_generator.state
 
-    def test_shards_1_is_draw_for_draw_unsharded_directed_walk(self):
-        plain = DirectedTwoHopWalk(
-            dgen.thm15_strong_lower_bound(16), rng=4
-        )
-        ref = [sorted(map(tuple, plain.step().added_edges)) for _ in range(6)]
-        wrapped = DirectedTwoHopWalk(
-            dgen.thm15_strong_lower_bound(16), rng=4
-        )
-        sharded = ShardedProcess(wrapped, shards=1)
-        got = [sorted(map(tuple, sharded.step().added_edges)) for _ in range(6)]
-        assert got == ref
-        assert plain.rng.bit_generator.state == wrapped.rng.bit_generator.state
-
     @pytest.mark.parametrize("process_cls", [NameDropper, RandomPointerJump])
     def test_fixed_seed_fixed_trajectory_payload(self, process_cls):
         assert trajectory(process_cls, 24, 7, shards=3) == trajectory(
@@ -232,26 +174,10 @@ class TestFullRegistryTraceContract:
         for shards in (3, 4, 5):
             assert trajectory(process_cls, 24, 7, shards=shards) == reference
 
-    def test_cross_shard_count_equivalence_directed_walk(self):
-        reference = directed_trajectory(DirectedTwoHopWalk, 24, 7, shards=2)
-        for shards in (3, 4, 5):
-            assert directed_trajectory(DirectedTwoHopWalk, 24, 7, shards=shards) == reference
-
     def test_cross_shard_count_equivalence_directed_pointer_jump(self):
         reference = directed_trajectory(RandomPointerJump, 20, 9, shards=2)
         for shards in (3, 4):
             assert directed_trajectory(RandomPointerJump, 20, 9, shards=shards) == reference
-
-    def test_sharded_walk_converges_to_transitive_closure(self):
-        proc = DirectedTwoHopWalk(
-            dgen.thm15_strong_lower_bound(12), rng=3
-        )
-        with ShardedProcess(proc, shards=3) as sharded:
-            result = sharded.run_to_convergence()
-        assert result.converged
-        assert proc.closure_deficit_count() == 0
-        # the strong construction's closure is the complete digraph
-        assert proc.graph.number_of_edges() == 12 * 11
 
     @pytest.mark.parametrize("process_cls", [NameDropper, RandomPointerJump])
     def test_sharded_payload_rounds_complete_the_graph(self, process_cls):
@@ -292,28 +218,15 @@ class TestFullRegistryTraceContract:
             # name-dropper payload sizes depend only on the round-start degrees
             assert got.bits_sent == ref.bits_sent
 
-    @pytest.mark.parametrize(
-        "process_cls", [NameDropper, RandomPointerJump, DirectedTwoHopWalk]
-    )
+    @pytest.mark.parametrize("process_cls", [NameDropper, RandomPointerJump])
     def test_parallel_matches_serial_new_kinds(self, process_cls):
-        if process_cls is DirectedTwoHopWalk:
-            serial = directed_trajectory(process_cls, 24, 5, shards=3, rounds=4)
-            parallel = directed_trajectory(
-                process_cls, 24, 5, shards=3, rounds=4, parallel=True
-            )
-        else:
-            serial = trajectory(process_cls, 24, 5, shards=3, rounds=4)
-            parallel = trajectory(process_cls, 24, 5, shards=3, rounds=4, parallel=True)
+        serial = trajectory(process_cls, 24, 5, shards=3, rounds=4)
+        parallel = trajectory(process_cls, 24, 5, shards=3, rounds=4, parallel=True)
         assert parallel == serial
 
 
 class TestParallelPath:
     """The process-pool path is semantics-identical to the in-process path."""
-
-    def test_parallel_push_matches_serial(self):
-        assert trajectory(PushDiscovery, 20, 5, shards=2, parallel=True) == trajectory(
-            PushDiscovery, 20, 5, shards=2, parallel=False
-        )
 
     def test_parallel_flooding_matches_serial(self):
         serial = trajectory(NeighborhoodFlooding, 32, 0, shards=3, rounds=4)
@@ -324,19 +237,30 @@ class TestParallelPath:
 
 
 class TestValidation:
-    def test_rejects_unshardable_process(self):
-        # Kernel registration is exact-type: a subclass that customises the
-        # proposal rule (the faulty variants) must opt in explicitly.
-        proc = FaultyPushDiscovery(gen.cycle_graph(8), failure_prob=0.1, rng=0)
+    @pytest.mark.parametrize(
+        "process",
+        [
+            lambda: PushDiscovery(gen.cycle_graph(8), rng=0),
+            lambda: PullDiscovery(gen.cycle_graph(8), rng=0),
+            lambda: DirectedTwoHopWalk(dgen.directed_cycle(8), rng=0),
+            lambda: FaultyPushDiscovery(gen.cycle_graph(8), failure_prob=0.1, rng=0),
+            lambda: FaultyPullDiscovery(gen.cycle_graph(8), failure_prob=0.1, rng=0),
+        ],
+        ids=["push", "pull", "directed_pull", "faulty_push", "faulty_pull"],
+    )
+    def test_rejects_unshardable_process(self, process):
+        # The gossip kinds propose O(n) edges a round, so sharding never
+        # pays and they have no kernel.  Kernel registration is exact-type:
+        # a subclass that customises the round must opt in explicitly.
         with pytest.raises(ValueError, match="no sharded round kernel"):
-            ShardedProcess(proc, shards=2)
+            ShardedProcess(process(), shards=2)
 
     def test_rejects_list_backend(self):
         with pytest.raises(ValueError, match="reference oracle"):
-            ShardedProcess(PushDiscovery(gen.cycle_graph(8).to_dynamic(), rng=0), shards=2)
+            ShardedProcess(NameDropper(gen.cycle_graph(8).to_dynamic(), rng=0), shards=2)
 
     def test_rejects_sequential_semantics(self):
-        proc = PushDiscovery(
+        proc = NameDropper(
             gen.cycle_graph(8), rng=0, semantics=UpdateSemantics.SEQUENTIAL
         )
         with pytest.raises(ValueError, match="synchronous"):
@@ -345,7 +269,7 @@ class TestValidation:
     def test_rejects_patched_activation(self):
         from repro.core.scheduler import FixedSubsetActivation, ScheduledProcess
 
-        proc = PushDiscovery(gen.cycle_graph(8), rng=0)
+        proc = NameDropper(gen.cycle_graph(8), rng=0)
         ScheduledProcess(proc, FixedSubsetActivation([0, 1]))
         with pytest.raises(ValueError, match="full activation"):
             ShardedProcess(proc, shards=2)
@@ -356,7 +280,7 @@ class TestValidation:
         full activation) — the exact bug class this PR's headline fix closed."""
         from repro.core.scheduler import FixedSubsetActivation, ScheduledProcess
 
-        proc = PushDiscovery(gen.cycle_graph(8), rng=0)
+        proc = NameDropper(gen.cycle_graph(8), rng=0)
         sharded = ShardedProcess(proc, shards=2)
         with pytest.raises(TypeError, match="inner process"):
             ScheduledProcess(sharded, FixedSubsetActivation([0, 1]))
@@ -365,11 +289,11 @@ class TestValidation:
 class TestHarnessPlumbing:
     def test_make_process_requires_array_backend_for_shards(self):
         with pytest.raises(ValueError, match="packed rows"):
-            make_process("push", gen.cycle_graph(8).to_dynamic(), rng=0, shards=2)
+            make_process("flooding", gen.cycle_graph(8).to_dynamic(), rng=0, shards=2)
 
     def test_make_process_accepts_graph_already_on_array_backend(self):
         """The generators' array graphs pass the shard gate as built."""
-        proc = make_process("push", gen.cycle_graph(8), rng=0, shards=2)
+        proc = make_process("flooding", gen.cycle_graph(8), rng=0, shards=2)
         assert isinstance(proc, ShardedProcess)
         proc.close()
 
@@ -378,8 +302,24 @@ class TestHarnessPlumbing:
             with pytest.raises(ValueError, match=">= 1"):
                 make_process("push", gen.cycle_graph(8), rng=0, shards=shards)
 
+    @pytest.mark.parametrize(
+        "name", ["push", "pull", "directed_pull", "faulty_push", "faulty_pull"]
+    )
+    def test_make_process_refuses_gossip_shards_by_name(self, name):
+        """The refusal names the registry entry and the shardable ones, and
+        comes before the process (or its graph check) is built."""
+        ctor, needs_directed = PROCESS_REGISTRY[name]
+        with pytest.raises(ValueError) as excinfo:
+            make_process(name, gen.cycle_graph(8).to_dynamic(), rng=0, shards=2)
+        message = str(excinfo.value)
+        assert repr(name) in message and ctor.__name__ not in message
+        assert "'flooding'" in message and "'name_dropper'" in message
+        # shards=1 builds every process as before
+        graph = dgen.directed_cycle(8) if needs_directed else gen.cycle_graph(8)
+        assert type(make_process(name, graph, rng=0, shards=1)) is ctor
+
     def test_make_process_builds_sharded_wrapper(self):
-        proc = make_process("push", gen.cycle_graph(12), rng=0, shards=3)
+        proc = make_process("name_dropper", gen.cycle_graph(12), rng=0, shards=3)
         assert isinstance(proc, ShardedProcess)
         assert proc.shards == 3
         run = proc.run_to_convergence()
@@ -388,7 +328,7 @@ class TestHarnessPlumbing:
 
     def test_run_trials_with_shards_is_deterministic(self):
         spec = ExperimentSpec(
-            process="push",
+            process="name_dropper",
             family="cycle",
             n=24,
             trials=2,
@@ -413,27 +353,3 @@ class TestHarnessPlumbing:
         assert [(t.rounds, t.edges_added) for t in a] == [
             (t.rounds, t.edges_added) for t in b
         ]
-
-    def test_cli_accepts_shards(self, capsys):
-        assert (
-            cli.main(
-                [
-                    "run",
-                    "--process",
-                    "push",
-                    "--family",
-                    "cycle",
-                    "--n",
-                    "24",
-                    "--trials",
-                    "2",
-                    "--seed",
-                    "3",
-                    "--shards",
-                    "2",
-                ]
-            )
-            == 0
-        )
-        out = capsys.readouterr().out
-        assert "rounds_mean" in out
